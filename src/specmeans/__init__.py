@@ -45,6 +45,7 @@ from .spaces import (
     build_partition,
     classical_besov_norm,
     difference,
+    difference_norms,
     evaluate_norm,
     liouville_norm,
     localized_norm,

@@ -1,4 +1,4 @@
-"""Periodic grid model of compactly supported functions on R^N.
+r"""Periodic grid model of compactly supported functions on R^N.
 
 A function with support well inside one period cell [-L/2, L/2)^N is
 represented by its samples on a uniform lattice.  The discrete Fourier
@@ -238,7 +238,7 @@ def spectral_l2_norm(F: SpectrumFunction) -> float:
 
 
 def pair(f: GridFunction, g: GridFunction) -> complex:
-    """Bilinear pairing \int f g dx as a Riemann sum (no conjugation)."""
+    r"""Bilinear pairing \int f g dx as a Riemann sum (no conjugation)."""
     if f.spec != g.spec:
         raise ValueError("grid specs do not match")
     return complex(np.sum(f.values * g.values) * f.spec.cell_volume)

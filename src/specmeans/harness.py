@@ -5,21 +5,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .distributions import (
-    CompactDistribution,
-    PointAtom,
-    distribution_convergence,
-    realization,
-)
+from .distributions import CompactDistribution, PointAtom, distribution_convergence
 from .grid import GridFunction, GridSpec, forward_transform, inverse_transform
 from .grid import SpectrumFunction, lp_norm
-from .multipliers import converge_error, spectral_mean
+from .multipliers import spectral_derivative, spectral_mean
 from .signals import make_signal
 from .spaces import (
     NormSpec,
@@ -27,7 +22,6 @@ from .spaces import (
     besov_norm_lp,
     besov_norm_modulus,
     classical_besov_norm,
-    evaluate_norm,
     liouville_norm,
     localized_norm,
     nikolskii_norm,
@@ -82,27 +76,28 @@ def parse_symbol(text: str) -> HomogeneousSymbol:
     raise ValueError(f"unknown symbol {text!r}")
 
 
+_NORM_FIELDS = dict(
+    lp=("p",), liouville=("s", "p"), sobolev=("s", "p"), nikolskii=("s", "p"),
+    slobodetskii=("s", "p"), besov_lp=("s", "p", "q"), besov_modulus=("s", "p", "q"),
+    classical_besov=("s", "p", "q"),
+)
+
+
 def parse_norm_spec(text: str) -> NormSpec:
     """e.g. 'liouville:0.5:2', 'besov:0.5:2:2', 'lp:2', 'nikolskii:0.7:2'."""
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "lp":
-        return NormSpec("lp", p=float(parts[1]) if len(parts) > 1 else 2.0)
-    if kind == "liouville":
-        return NormSpec("liouville", s=float(parts[1]), p=float(parts[2]))
-    if kind in ("besov", "besov_lp"):
-        return NormSpec("besov_lp", s=float(parts[1]), p=float(parts[2]), q=float(parts[3]))
-    if kind == "besov_modulus":
-        return NormSpec(
-            "besov_modulus", s=float(parts[1]), p=float(parts[2]), q=float(parts[3])
-        )
-    if kind == "classical_besov":
-        return NormSpec(
-            "classical_besov", s=float(parts[1]), p=float(parts[2]), q=float(parts[3])
-        )
-    if kind in ("sobolev", "nikolskii", "slobodetskii"):
-        return NormSpec(kind, s=float(parts[1]), p=float(parts[2]))
-    raise ValueError(f"unknown norm spec {text!r}")
+    name, *values = text.split(":")
+    kind = "besov_lp" if name == "besov" else name
+    if kind not in _NORM_FIELDS:
+        raise ValueError(f"unknown norm spec {text!r}")
+    names = _NORM_FIELDS[kind]
+    if kind == "lp" and not values:
+        values = ["2"]
+    if len(values) != len(names):
+        raise ValueError(f"space {text!r}: {name} takes the fields {':'.join(names)}")
+    try:
+        return NormSpec(kind, **{n: float(v) for n, v in zip(names, values)})
+    except ValueError:
+        raise ValueError(f"space {text!r}: fields {':'.join(names)} must be numbers") from None
 
 
 @dataclass
@@ -137,6 +132,12 @@ class ExperimentConfig:
     format: str = "json"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # an exponent may be +inf (the max norm); other numbers are finite
+            exponent = f.name in ("p", "p0", "q") and value == math.inf
+            if isinstance(value, float) and not (math.isfinite(value) or exponent):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (0 < self.ratio < 1) or self.t0 <= 0 or self.steps < 1:
             raise ValueError("t schedule must be strictly decreasing and positive")
         if self.window_radius is not None:
@@ -145,6 +146,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"window radius must lie in (0, {limit:g}) for this period"
                 )
+        if parse_symbol(self.symbol).dimension not in (None, self.dimension):
+            raise ValueError(f"symbol {self.symbol!r} is not defined for N = {self.dimension}")
 
     @property
     def grid(self) -> GridSpec:
@@ -192,6 +195,11 @@ class ExperimentConfig:
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path}: expected a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"config {path}: unknown key(s) {', '.join(unknown)}")
         return ExperimentConfig(**data)
 
 
@@ -247,15 +255,15 @@ def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
     )
 
     ts = config.t_schedule()
-    errs = [
-        converge_error(mean, t, sigma, u, norm_spec, window) for t in ts
-    ]
     u_norm = localized_norm(u, window, norm_spec)
-    bound_ratio = max(
-        localized_norm(spectral_mean(mean, t, sigma, u), window, norm_spec) / u_norm
-        for t in ts
-    )
     band_err = _band_truncation_error(u, norm_spec, window)
+    errs, ratios = [], []
+    for t in ts:
+        v = spectral_mean(mean, t, sigma, u)
+        ratios.append(localized_norm(v, window, norm_spec) / u_norm)
+        v = v - u  # rebinding frees p(tA)u: one field is alive per norm call
+        errs.append(localized_norm(v, window, norm_spec))
+    bound_ratio = max(ratios)
     floor_candidate = errs[-1]
     floor_validated = floor_candidate <= 2.0 * max(band_err, 1e-14 * (errs[0] or 1.0))
     floor = floor_candidate if floor_validated else max(band_err, 1e-14 * (errs[0] or 1.0))
@@ -376,17 +384,13 @@ def run_equivalence(config: ExperimentConfig) -> dict:
 
     # Liouville vs Sobolev quadratic identity at p = 2, s = 1
     corpus = trig_corpus(spec, config.corpus_size, int(config.band), config.seed)
+    axes = np.eye(spec.dimension, dtype=int)
     lio_ratios = []
     for f in corpus:
         lio = liouville_norm(f, 1.0, 2.0)
         quad = math.sqrt(
             lp_norm(f, 2.0) ** 2
-            + sum(
-                lp_norm(
-                    spectral_mean_derivative(f, d), 2.0
-                ) ** 2
-                for d in range(spec.dimension)
-            )
+            + sum(lp_norm(spectral_derivative(f, alpha), 2.0) ** 2 for alpha in axes)
         )
         lio_ratios.append(lio / quad)
     return {
@@ -398,14 +402,6 @@ def run_equivalence(config: ExperimentConfig) -> dict:
         },
         "parameters": {"s": s, "p": pp, "q": qq, "corpus_size": config.corpus_size},
     }
-
-
-def spectral_mean_derivative(f: GridFunction, axis: int) -> GridFunction:
-    from .multipliers import spectral_derivative
-
-    alpha = [0] * f.spec.dimension
-    alpha[axis] = 1
-    return spectral_derivative(f, alpha)
 
 
 def run_conditions(config: ExperimentConfig) -> str:

@@ -74,12 +74,6 @@ def apply_multiplier(plan: MultiplierPlan, f: GridFunction) -> GridFunction:
     return inverse_transform(SpectrumFunction(f.spec, plan.values * F.coefficients))
 
 
-def apply_to_spectrum(plan: MultiplierPlan, F: SpectrumFunction) -> SpectrumFunction:
-    if plan.spec != F.spec:
-        raise ValueError("grid specs do not match")
-    return SpectrumFunction(F.spec, plan.values * F.coefficients)
-
-
 def spectral_mean_plan(
     p: MeanFunction, t: float, sigma: HomogeneousSymbol, spec: GridSpec
 ) -> MultiplierPlan:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, SpectrumFunction, inverse_transform
+from .grid import GridFunction, GridSpec
 from .spaces import smooth_step
 
 __all__ = ["make_signal", "standard_bump"]

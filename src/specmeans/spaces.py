@@ -17,8 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, forward_transform, inverse_transform, lp_norm
-from .grid import SpectrumFunction
+from .grid import GridFunction, GridSpec, lp_norm
 from .multipliers import (
     MultiplierPlan,
     apply_multiplier,
@@ -36,6 +35,7 @@ __all__ = [
     "liouville_norm",
     "besov_norm_lp",
     "difference",
+    "difference_norms",
     "modulus_of_continuity",
     "besov_norm_modulus",
     "classical_besov_norm",
@@ -45,6 +45,9 @@ __all__ = [
     "localized_norm",
     "evaluate_norm",
 ]
+
+SHIFT_CAP = 512  # 2-D/3-D modulus shift sets above this size are subsampled
+NODES_PER_DECADE = 64  # log-spaced t and |h| quadrature nodes
 
 
 def _bridge(x: np.ndarray) -> np.ndarray:
@@ -159,47 +162,71 @@ def _shift_steps(spec: GridSpec, y) -> tuple:
     return tuple(int(s) for s in rounded)
 
 
+def _stencil(values: np.ndarray, steps, m: int) -> np.ndarray:
+    """sum_k C(m,k) (-1)^k values(x + k y) for the lattice step y = steps."""
+    if m < 1:
+        raise ValueError("difference order must be >= 1")
+    acc = np.zeros(values.shape, dtype=complex)
+    for k in range(m + 1):
+        shifted = np.roll(values, tuple(-k * s for s in steps), axis=tuple(range(values.ndim)))
+        acc += comb(m, k) * (-1) ** k * shifted
+    return acc
+
+
 def difference(f: GridFunction, y, m: int) -> GridFunction:
     """m-th finite difference: sum_k C(m,k) (-1)^k f(x + k y), y a
     lattice-commensurate periodic shift."""
-    if m < 1:
-        raise ValueError("difference order must be >= 1")
-    steps = _shift_steps(f.spec, y)
-    acc = np.zeros(f.spec.shape, dtype=complex)
-    for k in range(m + 1):
-        shifted = np.roll(
-            f.values, tuple(-k * s for s in steps), axis=tuple(range(f.spec.dimension))
-        )
-        acc += comb(m, k) * (-1) ** k * shifted
-    return GridFunction(f.spec, acc)
+    return GridFunction(f.spec, _stencil(f.values, _shift_steps(f.spec, y), m))
 
 
-def _shift_vectors(spec: GridSpec, t: float, max_count: int = 512) -> list:
-    """Lattice-commensurate shifts with 0 < |y| < t.
+def difference_norms(f: GridFunction, steps, m: int, p: float) -> np.ndarray:
+    """L_p norms of the m-th differences of f, one per row of `steps`:
+    integer lattice steps, shape (count, dimension), y = steps * spacing."""
+    steps = np.asarray(steps, dtype=int)
+    if steps.ndim != 2 or steps.shape[1] != f.spec.dimension:
+        raise ValueError("steps must have shape (count, dimension)")
+    return np.array([lp_norm(GridFunction(f.spec, _stencil(f.values, y, m)), p) for y in steps])
 
-    1-D: full enumeration.  Higher dimensions: full enumeration when
-    small, otherwise a quasi-uniform direction/magnitude subsample of at
-    least 64 shifts.
+
+def _radii(spec: GridSpec, steps: np.ndarray) -> np.ndarray:
+    """|y| of each step, rounded exactly as the norm of the float vector."""
+    return np.array([np.linalg.norm(v) for v in spec.spacing * steps], dtype=float)
+
+
+def _shift_sets(spec: GridSpec, ts) -> tuple:
+    """Lattice shifts with 0 < |y| < t for every t in `ts`.
+
+    Returns the integer steps of all shifts below max(ts), sorted by
+    (rounded |y| / spacing, y), and per t the indices of its set.  1-D
+    sets are complete; above SHIFT_CAP shifts, 2-D and 3-D sets keep
+    every (count // (SHIFT_CAP / 2))-th shift of that order.
     """
-    h = spec.spacing
-    jmax = int(math.ceil(t / h)) + 1
-    vecs = []
-    if spec.dimension == 1:
-        for j in range(1, jmax + 1):
-            if 0 < j * h < t:
-                vecs.append(np.array([j * h]))
-        return vecs
-    ranges = [range(-jmax, jmax + 1)] * spec.dimension
-    for idx in itertools.product(*ranges):
-        v = h * np.array(idx, dtype=float)
-        r = np.linalg.norm(v)
-        if 0 < r < t:
-            vecs.append(v)
-    if len(vecs) > max_count:
-        vecs.sort(key=lambda v: (round(np.linalg.norm(v) / h), tuple(v)))
-        stride = len(vecs) // max(64, max_count // 2)
-        vecs = vecs[:: max(1, stride)]
-    return vecs
+    dimension = spec.dimension
+    jmax = int(math.ceil(max(ts) / spec.spacing)) + 1
+    if dimension == 1:
+        steps = np.arange(1, jmax + 1)[:, None]
+    else:
+        steps = np.indices((2 * jmax + 1,) * dimension).reshape(dimension, -1).T - jmax
+    radii = _radii(spec, steps)
+    keep = (radii > 0) & (radii < max(ts))
+    steps, radii = steps[keep], radii[keep]
+    order = np.lexsort(tuple(steps[:, ::-1].T) + (np.rint(radii / spec.spacing),))
+    steps, radii = steps[order], radii[order]
+    sets = []
+    for t in ts:
+        members = np.flatnonzero(radii < t)
+        if dimension > 1 and members.size > SHIFT_CAP:
+            members = members[:: members.size // (SHIFT_CAP // 2)]
+        sets.append(members)
+    return steps, sets
+
+
+def _moduli(f: GridFunction, steps: np.ndarray, sets: list, m: int, p: float) -> np.ndarray:
+    """omega(t) per shift set: each distinct shift is evaluated once."""
+    used = np.unique(np.concatenate(sets))
+    norms = np.zeros(len(steps))
+    norms[used] = difference_norms(f, steps[used], m, p)
+    return np.array([np.max(norms[members], initial=0.0) for members in sets])
 
 
 def modulus_of_continuity(f: GridFunction, t: float, m: int, p: float) -> float:
@@ -208,21 +235,17 @@ def modulus_of_continuity(f: GridFunction, t: float, m: int, p: float) -> float:
     if t < f.spec.spacing or t <= 0:
         warnings.warn("t below grid spacing; modulus reported as 0", stacklevel=2)
         return 0.0
-    best = 0.0
-    for y in _shift_vectors(f.spec, t):
-        best = max(best, lp_norm(difference(f, y, m), p))
-    return best
+    return float(_moduli(f, *_shift_sets(f.spec, [t]), m, p)[0])
 
 
 def _log_grid_integral(ts: np.ndarray, gs: np.ndarray) -> float:
     """Trapezoid rule for int g(t) dt/t on the given nodes."""
-    u = np.log(ts)
-    return float(np.trapezoid(gs, u))
+    return float(np.trapezoid(gs, np.log(ts)))
 
 
-def _log_nodes(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
+def _log_nodes(lo: float, hi: float) -> np.ndarray:
     decades = math.log10(hi / lo)
-    count = max(4, int(math.ceil(per_decade * decades)) + 1)
+    count = max(4, int(math.ceil(NODES_PER_DECADE * decades)) + 1)
     return np.geomspace(lo, hi, count)
 
 
@@ -238,19 +261,17 @@ def besov_norm_modulus(
         raise ValueError("need m + n1 > s and 0 <= n1 < s")
     spec = f.spec
     ts = _log_nodes(spec.spacing, spec.period / 2.0)
+    steps, sets = _shift_sets(spec, ts)
     total = lp_norm(f, params.p)
-    for j in range(spec.dimension):
-        alpha = [0] * spec.dimension
-        alpha[j] = n1
-        g = spectral_derivative(f, alpha) if n1 else f
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            omegas = np.array([modulus_of_continuity(g, t, m, params.p) for t in ts])
-        weighted = ts ** (n1 - s) * omegas
-        if params.q == np.inf:
-            total += float(np.max(weighted))
-        else:
-            total += _log_grid_integral(ts, weighted**params.q) ** (1.0 / params.q)
+    for j, alpha in enumerate(n1 * np.eye(spec.dimension, dtype=int)):
+        if n1 or j == 0:  # with n1 = 0 every axis has g = f
+            g = spectral_derivative(f, alpha) if n1 else f
+            weighted = ts ** (n1 - s) * _moduli(g, steps, sets, m, params.p)
+            if params.q == np.inf:
+                term = float(np.max(weighted))
+            else:
+                term = _log_grid_integral(ts, weighted**params.q) ** (1.0 / params.q)
+        total += term
     return total
 
 
@@ -279,53 +300,31 @@ def sobolev_norm(f: GridFunction, m: int, p: float) -> float:
     return total
 
 
-def _difference_h_set(spec: GridSpec, per_decade: int = 64) -> list:
-    """Lattice-commensurate step vectors for the h-quadrature, magnitudes
-    log-spaced in [spacing, L/4], with per-node log weights.
+def _difference_h_set(spec: GridSpec) -> tuple:
+    """Lattice steps for the h-quadrature, magnitudes log-spaced in
+    [spacing, L/4], with per-node log weights.
 
-    Returns a list of (h_vector, magnitude, dtheta_weight) triples; 1-D
-    enumerates both signs implicitly through the factor 2 surface measure
-    of S^0.
+    Returns (steps, magnitudes, weight): integer steps of shape
+    (count, dimension), their lengths, and the per-node weight.  1-D takes
+    positive steps only; the factor 2 surface measure of S^0 covers both
+    signs.
     """
-    h = spec.spacing
-    hi = spec.period / 4.0
-    mags = _log_nodes(h, hi, per_decade)
+    h, hi = spec.spacing, spec.period / 4.0
+    mags = _log_nodes(h, hi)
     if spec.dimension == 1:
-        out = []
-        seen = set()
-        for r in mags:
-            j = max(1, int(round(r / h)))
-            if j * h > hi or j in seen:
-                continue
-            seen.add(j)
-            out.append((np.array([j * h]), j * h, 2.0))  # both signs
-        return out
-    n_dirs = 64 if spec.dimension == 2 else 128
-    dirs = []
-    if spec.dimension == 2:
-        angles = 2 * np.pi * (np.arange(n_dirs) + 0.5) / n_dirs
-        dirs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
-        dtheta = 2 * np.pi / n_dirs
+        dirs, dtheta = np.ones((1, 1)), 2.0
+    elif spec.dimension == 2:
+        angles = 2 * np.pi * (np.arange(64) + 0.5) / 64
+        dirs, dtheta = np.array([[math.cos(a), math.sin(a)] for a in angles]), 2 * np.pi / 64
     else:
-        rng = np.random.default_rng(12345)
-        raw = rng.normal(size=(n_dirs, 3))
-        dirs = [v / np.linalg.norm(v) for v in raw]
-        dtheta = 4 * np.pi / n_dirs
-    out = []
-    seen = set()
-    for r in mags:
-        for d in dirs:
-            steps = tuple(int(round(r * di / h)) for di in d)
-            if all(s == 0 for s in steps):
-                continue
-            vec = h * np.array(steps, dtype=float)
-            mag = float(np.linalg.norm(vec))
-            key = steps
-            if mag > hi or key in seen:
-                continue
-            seen.add(key)
-            out.append((vec, mag, dtheta))
-    return out
+        raw = np.random.default_rng(12345).normal(size=(128, 3))
+        dirs, dtheta = np.array([v / np.linalg.norm(v) for v in raw]), 4 * np.pi / 128
+    # one step per (magnitude, direction) node, first occurrence kept
+    steps = np.rint(mags[:, None, None] * dirs / h).astype(int).reshape(-1, spec.dimension)
+    steps = steps[np.any(steps != 0, axis=1)]
+    steps = steps[np.sort(np.unique(steps, axis=0, return_index=True)[1])]
+    radii = _radii(spec, steps)
+    return steps[radii <= hi], radii[radii <= hi].tolist(), dtheta
 
 
 def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
@@ -335,17 +334,17 @@ def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
     if params.p == np.inf or params.q == np.inf:
         raise ValueError("classical route needs finite p and q")
     total = sobolev_norm(f, k, params.p)
-    hset = _difference_h_set(f.spec)
+    steps, mags, w = _difference_h_set(f.spec)
     for alpha in _multi_indices(f.spec.dimension, k):
         g = spectral_derivative(f, alpha) if k else f
+        vals = difference_norms(g, steps, 2, params.p).tolist()
         # group nodes by magnitude for the radial log-trapezoid
         by_mag = {}
-        for vec, mag, w in hset:
-            val = lp_norm(difference(g, vec, 2), params.p)
+        for mag, val in zip(mags, vals):
             by_mag.setdefault(mag, []).append(w * (mag ** (-frac) * val) ** params.q)
-        mags = np.array(sorted(by_mag))
-        radial = np.array([sum(by_mag[m]) for m in mags])
-        total += _log_grid_integral(mags, radial) ** (1.0 / params.q)
+        radii = np.array(sorted(by_mag))
+        radial = np.array([sum(by_mag[r]) for r in radii])
+        total += _log_grid_integral(radii, radial) ** (1.0 / params.q)
     return total
 
 
@@ -354,13 +353,11 @@ def nikolskii_norm(f: GridFunction, s: float, p: float) -> float:
     |h|^{-frac} times the second-difference norm."""
     k, frac = _split_order(s)
     total = sobolev_norm(f, k, p)
-    hset = _difference_h_set(f.spec)
+    steps, mags, _ = _difference_h_set(f.spec)
     for alpha in _multi_indices(f.spec.dimension, k):
         g = spectral_derivative(f, alpha) if k else f
-        best = 0.0
-        for vec, mag, _ in hset:
-            best = max(best, mag ** (-frac) * lp_norm(difference(g, vec, 2), p))
-        total += best
+        vals = difference_norms(g, steps, 2, p).tolist()
+        total += max((mag ** (-frac) * val for mag, val in zip(mags, vals)), default=0.0)
     return total
 
 

@@ -53,6 +53,7 @@ class HomogeneousSymbol:
     degree: float
     evaluate: Callable[..., np.ndarray]
     label: str
+    dimension: Optional[int] = None  # the only N it is defined for; None: any N
 
     def __post_init__(self):
         if self.degree < 1:
@@ -78,7 +79,7 @@ def quartic_symbol() -> HomogeneousSymbol:
     def ev(y1, y2):
         return np.asarray(y1) ** 4 + np.asarray(y2) ** 4
 
-    return HomogeneousSymbol(4.0, ev, "quartic")
+    return HomogeneousSymbol(4.0, ev, "quartic", dimension=2)
 
 
 def check_homogeneity(
@@ -222,7 +223,7 @@ class IntegrabilityResult:
 def check_integrability(
     p: MeanFunction, N: int, alpha0: float, m: float, big_lambda: float = 1e3
 ) -> IntegrabilityResult:
-    """Test \int_0^inf |p(lambda)| lambda^e dlambda < inf, e = (N-alpha0-1)/m.
+    r"""Test \int_0^inf |p(lambda)| lambda^e dlambda < inf, e = (N-alpha0-1)/m.
 
     The head [0, big_lambda] is integrated by adaptive quadrature; the
     tail is classified through the empirical decay exponent of |p| fitted

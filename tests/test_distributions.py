@@ -244,3 +244,5 @@ class TestConvergence:
             probe=probe,
         )
         assert recs[1]["pairing_error"] < recs[0]["pairing_error"] + 1e-12
+        # the duality defect <p(tA)f, phi> - <f, p(tA)phi> is roundoff
+        assert all(r["pairing_error"] <= 1e-9 for r in recs)

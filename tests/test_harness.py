@@ -254,6 +254,24 @@ class TestCLI:
     def test_usage_error_exit_2(self):
         assert cli_main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["converge", "--space", "liouville:0.5"], "space"),
+            (["converge", "--space", "besov:0.5:2"], "space"),
+            (["converge", "--config", "{bad_config}"], "bogus"),
+            (["converge", "--t0", "nan"], "t0"),
+            (["converge", "--grid", "3,8", "--symbol", "quartic"], "symbol"),
+        ],
+    )
+    def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
+        bad_config = tmp_path / "config.json"
+        bad_config.write_text(json.dumps({"bogus": 1, "points_per_axis": 32}))
+        argv = [a.format(bad_config=bad_config) for a in argv]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_converge_dist_defaults_to_delta(self, capsys):
         rc = cli_main(
             ["converge-dist", "--grid", "32", "--steps", "3", "--alpha", "0.75", "--format", "csv"]

@@ -1,8 +1,13 @@
 """Norm routes: Littlewood-Paley partition, Liouville/Besov/Nikolskii/
 Sobolev/Slobodetskii norms, and equivalence spot checks."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmeans import (
     BesovParams,
@@ -14,6 +19,7 @@ from specmeans import (
     build_partition,
     classical_besov_norm,
     difference,
+    difference_norms,
     evaluate_norm,
     liouville_norm,
     localized_norm,
@@ -25,6 +31,7 @@ from specmeans import (
     smooth_window,
     sobolev_norm,
 )
+from specmeans import spaces
 
 
 def trig_signal(spec, seed=0, kmax=5):
@@ -259,3 +266,147 @@ class TestWindowAndDispatch:
         f = trig_signal(GridSpec(1, 64))
         with pytest.raises(ValueError):
             evaluate_norm(f, NormSpec(kind="sorbet"))
+
+
+# -- reference for the difference routes: the shift rules enumerated point by
+# point and one lp_norm(difference(...)) call per shift -----------------------
+
+
+def reference_log_nodes(lo, hi):
+    count = max(4, int(math.ceil(64 * math.log10(hi / lo))) + 1)
+    return np.geomspace(lo, hi, count)
+
+
+def reference_shifts(spec, t):
+    """Shifts 0 < |y| < t; above 512 of them in 2-D/3-D, every
+    (count // 256)-th of the list sorted by (round(|y|/h), y)."""
+    h = spec.spacing
+    jmax = int(math.ceil(t / h)) + 1
+    if spec.dimension == 1:
+        return [np.array([j * h]) for j in range(1, jmax + 1) if 0 < j * h < t]
+    vecs = []
+    for idx in itertools.product(range(-jmax, jmax + 1), repeat=spec.dimension):
+        v = h * np.array(idx, dtype=float)
+        if 0 < np.linalg.norm(v) < t:
+            vecs.append(v)
+    if len(vecs) > 512:
+        vecs.sort(key=lambda v: (round(np.linalg.norm(v) / h), tuple(v)))
+        vecs = vecs[:: len(vecs) // 256]
+    return vecs
+
+
+def reference_h_set(spec):
+    """(vector, |vector|, weight) per quadrature step, magnitudes
+    log-spaced in [h, L/4] along 64 (2-D) or 128 (3-D) directions."""
+    h, hi = spec.spacing, spec.period / 4.0
+    if spec.dimension == 1:
+        dirs, weight = [np.array([1.0])], 2.0
+    elif spec.dimension == 2:
+        angles = 2 * np.pi * (np.arange(64) + 0.5) / 64
+        dirs, weight = [np.array([math.cos(a), math.sin(a)]) for a in angles], 2 * np.pi / 64
+    else:
+        raw = np.random.default_rng(12345).normal(size=(128, 3))
+        dirs, weight = [v / np.linalg.norm(v) for v in raw], 4 * np.pi / 128
+    out, seen = [], set()
+    for r in reference_log_nodes(h, hi):
+        for d in dirs:
+            steps = tuple(int(round(r * di / h)) for di in d)
+            vec = h * np.array(steps, dtype=float)
+            mag = float(np.linalg.norm(vec))
+            if any(steps) and mag <= hi and steps not in seen:
+                seen.add(steps)
+                out.append((vec, mag, weight))
+    return out
+
+
+def reference_modulus_besov(f, s, p, q, m):
+    """n1 = 0: every axis contributes the same L_q(dt/t) term."""
+    ts = reference_log_nodes(f.spec.spacing, f.spec.period / 2.0)
+    omegas = [
+        max((lp_norm(difference(f, y, m), p) for y in reference_shifts(f.spec, t)), default=0.0)
+        for t in ts
+    ]
+    weighted = ts ** (-s) * np.array(omegas)
+    term = float(np.trapezoid(weighted**q, np.log(ts))) ** (1.0 / q)
+    total = lp_norm(f, p)
+    for _ in range(f.spec.dimension):
+        total += term
+    return total
+
+
+def reference_classical(f, s, p, q):
+    """0 < s < 1: order-0 Sobolev part plus the radial log-trapezoid of
+    the second-difference integrand."""
+    by_mag = {}
+    for vec, mag, w in reference_h_set(f.spec):
+        val = lp_norm(difference(f, vec, 2), p)
+        by_mag.setdefault(mag, []).append(w * (mag ** (-s) * val) ** q)
+    mags = np.array(sorted(by_mag))
+    radial = np.array([sum(by_mag[r]) for r in mags])
+    return sobolev_norm(f, 0, p) + float(np.trapezoid(radial, np.log(mags))) ** (1.0 / q)
+
+
+def reference_nikolskii(f, s, p):
+    best = 0.0
+    for vec, mag, _ in reference_h_set(f.spec):
+        best = max(best, mag ** (-s) * lp_norm(difference(f, vec, 2), p))
+    return sobolev_norm(f, 0, p) + best
+
+
+class TestDifferenceKernel:
+    def test_kernel_matches_difference(self):
+        spec = GridSpec(2, 16)
+        f = trig_signal(spec, seed=9)
+        steps = np.array([[1, 0], [0, -3], [2, 5], [-7, 7]])
+        for m in (1, 2, 3):
+            expected = [lp_norm(difference(f, spec.spacing * y, m), 3.0) for y in steps]
+            assert difference_norms(f, steps, m, 3.0).tolist() == expected
+
+    def test_kernel_rejects_bad_steps(self):
+        f = trig_signal(GridSpec(2, 16))
+        with pytest.raises(ValueError):
+            difference_norms(f, np.array([1, 2]), 2, 2.0)
+        with pytest.raises(ValueError):
+            difference_norms(f, np.array([[1, 2]]), 0, 2.0)
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (2, 32), (3, 8), (3, 16)])
+    def test_shift_rules_match_reference(self, dim, n):
+        # every t node's modulus set, and the h-quadrature steps in order
+        spec = GridSpec(dim, n)
+
+        def lattice(vectors):
+            return [tuple(int(k) for k in np.rint(v / spec.spacing)) for v in vectors]
+
+        ts = reference_log_nodes(spec.spacing, spec.period / 2.0)
+        steps, sets = spaces._shift_sets(spec, ts)
+        for t, members in zip(ts, sets):
+            assert sorted(map(tuple, steps[members].tolist())) == sorted(
+                lattice(reference_shifts(spec, t))
+            )
+        steps, mags, weight = spaces._difference_h_set(spec)
+        expected = reference_h_set(spec)
+        assert list(map(tuple, steps.tolist())) == lattice(v for v, _, _ in expected)
+        assert mags == [mag for _, mag, _ in expected]
+        assert all(w == weight for _, _, w in expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        grid=st.sampled_from([(1, 16), (1, 32), (1, 64), (2, 8), (2, 16), (2, 32), (3, 8)]),
+        m=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 2.0, 3.0, np.inf]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(grid=(2, 32), m=2, p=2.0, seed=0)  # above the 512-shift subsampling
+    @example(grid=(3, 8), m=1, p=np.inf, seed=1)
+    def test_routes_match_reference(self, grid, m, p, seed):
+        spec = GridSpec(*grid)
+        f = trig_signal(spec, seed=seed, kmax=spec.points_per_axis // 4)
+        s = 0.7 if m == 2 else 0.5
+        assert besov_norm_modulus(f, BesovParams(s, p, 2.0), m, 0) == reference_modulus_besov(
+            f, s, p, 2.0, m
+        )
+        assert nikolskii_norm(f, 0.7, p) == reference_nikolskii(f, 0.7, p)
+        if p != np.inf:
+            assert classical_besov_norm(f, BesovParams(0.7, p, 2.0)) == reference_classical(
+                f, 0.7, p, 2.0
+            )
