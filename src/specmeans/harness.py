@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -100,6 +101,10 @@ def parse_norm_spec(text: str) -> NormSpec:
         raise ValueError(f"space {text!r}: fields {':'.join(names)} must be numbers") from None
 
 
+# annotation of an ExperimentConfig field -> accepted values (bool excluded)
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list": list}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str = "converge_function"
@@ -134,9 +139,15 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            optional = f.type.startswith("Optional[")
+            kind = f.type[len("Optional["):-1] if optional else f.type
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
             # an exponent may be +inf (the max norm); other numbers are finite
             exponent = f.name in ("p", "p0", "q") and value == math.inf
-            if isinstance(value, float) and not (math.isfinite(value) or exponent):
+            if kind == "float" and not (math.isfinite(value) or exponent):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (0 < self.ratio < 1) or self.t0 <= 0 or self.steps < 1:
             raise ValueError("t schedule must be strictly decreasing and positive")

@@ -56,8 +56,8 @@ class HomogeneousSymbol:
     dimension: Optional[int] = None  # the only N it is defined for; None: any N
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if not (math.isfinite(self.degree) and self.degree >= 1):
+            raise ValueError(f"degree m must be finite and >= 1, got {self.degree}")
 
     def __call__(self, *coords) -> np.ndarray:
         return self.evaluate(*coords)
@@ -167,43 +167,64 @@ def make_gaussian_mean() -> MeanFunction:
     return MeanFunction(ev, "gaussian", deriv)
 
 
+def _bridge_jet(x: np.ndarray, tau: float, order: int) -> np.ndarray:
+    """Taylor coefficients b^(k)(x)/k!, k = 0..order, of the bridge
+    b = 1/(1 + e^s), s(x) = 1/(tau-x) - 1/(x-tau/2), at points of (tau/2, tau).
+
+    Truncated-Taylor ("jet") arithmetic (Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., ch. 13): s has closed-form coefficients, the
+    exponential and the reciprocal follow their jet recurrences.  Where
+    s > 0 the sign is flipped and b = e^{-s}/(1 + e^{-s}), so the
+    exponential never exceeds 1.  Returns shape (order + 1,) + x.shape.
+    """
+    k = np.arange(order + 1).reshape((-1,) + (1,) * x.ndim)
+    s = (tau - x) ** -(k + 1.0) - (-1.0) ** k * (x - tau / 2.0) ** -(k + 1.0)
+    flip = s[0] > 0
+    g = np.where(flip, -s, s)
+    e = np.empty_like(g)
+    e[0] = np.exp(g[0])
+    for n in range(1, order + 1):
+        e[n] = sum(j * g[j] * e[n - j] for j in range(1, n + 1)) / n
+    r = np.empty_like(g)  # jet of 1/(1 + e)
+    r[0] = 1.0 / (1.0 + e[0])
+    for n in range(1, order + 1):
+        r[n] = -r[0] * sum(e[j] * r[n - j] for j in range(1, n + 1))
+    er = [sum(e[j] * r[n - j] for j in range(n + 1)) for n in range(order + 1)]
+    return np.where(flip, er, r)
+
+
 def make_smooth_cutoff_mean(tau: float, max_order: int = 6) -> MeanFunction:
     """C^inf profile: 1 on [0, tau/2], 0 on [tau, inf), smooth bridge between.
 
-    Derivatives up to `max_order` are produced symbolically once and
-    lambdified.
+    The bridge is e^{-1/(tau-x)} / (e^{-1/(tau-x)} + e^{-1/(x-tau/2)}).
+    p itself is evaluated directly; derivatives up to `max_order` come
+    from the bridge's Taylor jet (`_bridge_jet`), and are exactly 0 on the
+    flat pieces.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    import sympy as sp
-
-    x = sp.Symbol("x", real=True)
-    up = sp.exp(-1 / (tau - x))
-    down = sp.exp(-1 / (x - tau / 2))
-    bridge = up / (up + down)
-    expr = sp.Piecewise((1, x <= tau / 2), (0, x >= tau), (bridge, True))
-    funcs = {}
-    for j in range(max_order + 1):
-        funcs[j] = sp.lambdify(x, sp.diff(expr, x, j), modules="numpy")
-
-    def _eval_order(j, lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.asarray(funcs[j](lam), dtype=float)
-        out = np.broadcast_to(out, lam.shape).copy()
-        # Unselected Piecewise branches can leave NaN/inf on the flat pieces;
-        # overwrite them with the exact flat values.
-        out[lam <= tau / 2] = 1.0 if j == 0 else 0.0
-        out[lam >= tau] = 0.0
-        return out
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    half = tau / 2.0
 
     def ev(lam):
-        return _eval_order(0, np.asarray(lam, dtype=float))
+        lam = np.asarray(lam, dtype=float)
+        out = np.where(lam <= half, 1.0, 0.0)
+        inside = (lam > half) & (lam < tau)
+        x = lam[inside]
+        s = 1.0 / (tau - x) - 1.0 / (x - half)
+        small = np.exp(-np.abs(s))  # e^{-|s|} <= 1, no overflow
+        out[inside] = np.where(s > 0, small, 1.0) / (1.0 + small)
+        return out
 
     def deriv(j, lam):
-        if j > max_order:
-            raise ValueError(f"closed-form derivatives available up to {max_order}")
-        return _eval_order(j, np.asarray(lam, dtype=float))
+        if not 0 <= j <= max_order:
+            raise ValueError(f"closed-form derivatives available for orders 0..{max_order}")
+        lam = np.asarray(lam, dtype=float)
+        if j == 0:
+            return ev(lam)
+        out = np.zeros(lam.shape)
+        inside = (lam > half) & (lam < tau)
+        out[inside] = _bridge_jet(lam[inside], tau, j)[j] * math.factorial(j)
+        return out
 
     return MeanFunction(ev, f"cutoff:{tau:g}", deriv)
 
@@ -225,7 +246,8 @@ def check_integrability(
 ) -> IntegrabilityResult:
     r"""Test \int_0^inf |p(lambda)| lambda^e dlambda < inf, e = (N-alpha0-1)/m.
 
-    The head [0, big_lambda] is integrated by adaptive quadrature; the
+    The head [0, big_lambda] is integrated by adaptive quadrature on
+    [0, 1] and ten geometric pieces of [1, big_lambda]; the
     tail is classified through the empirical decay exponent of |p| fitted
     on [big_lambda, 4*big_lambda] (finite iff it exceeds e + 1 + 0.1).
     """
@@ -238,9 +260,10 @@ def check_integrability(
     def integrand(lam):
         return abs(float(p(lam))) * lam**e
 
-    head, _ = quad(integrand, 0.0, 1.0, limit=200)
-    mid, _ = quad(integrand, 1.0, big_lambda, limit=400)
-    value = head + mid
+    # geometric pieces above 1, so a support edge just past lambda = 1 is
+    # not lost between the first nodes of a single [1, big_lambda] rule
+    edges = np.concatenate([[0.0], np.geomspace(1.0, big_lambda, 11)])
+    value = sum(quad(integrand, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
 
     lam_tail = np.geomspace(big_lambda, 4 * big_lambda, 16)
     vals = np.abs(p(lam_tail))
@@ -279,6 +302,13 @@ class DerivativeDecayResult:
     failed_orders: Sequence[int]
 
 
+# lambda grid of check_derivative_decay: fine on [0, 4], geometric to 1e6
+_DECAY_GRID = np.unique(
+    np.concatenate([np.linspace(0.0, 4.0, 2001), np.geomspace(1e-3, 1e6, 600)])
+)
+_DECAY_GRID.flags.writeable = False
+
+
 def check_derivative_decay(p: MeanFunction, l: int) -> DerivativeDecayResult:
     """Estimate C_j = sup |p^(j)(lambda)| (1+lambda)^j for j = 0..l.
 
@@ -289,9 +319,7 @@ def check_derivative_decay(p: MeanFunction, l: int) -> DerivativeDecayResult:
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    lam = np.unique(
-        np.concatenate([np.linspace(0.0, 4.0, 2001), np.geomspace(1e-3, 1e6, 600)])
-    )
+    lam = _DECAY_GRID
     constants, failed = [], []
     for j in range(l + 1):
         closed = True

@@ -70,6 +70,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(window_radius=0.5 * 2 * math.pi)
 
+    def test_field_types(self):
+        for field, value in (("steps", "3"), ("points_per_axis", 32.0), ("t0", "0.1"),
+                             ("seed", True), ("mean", 1), ("atoms", {}), ("alpha0", "1")):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(**{field: value})
+        config = ExperimentConfig(t0=1, alpha0=None, steps=np.int64(3), p=np.float64(2))
+        assert config.t_schedule()[0] == 1
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"points_per_axis": 32, "mean": "riesz:1"}))
@@ -262,12 +270,16 @@ class TestCLI:
             (["converge", "--config", "{bad_config}"], "bogus"),
             (["converge", "--t0", "nan"], "t0"),
             (["converge", "--grid", "3,8", "--symbol", "quartic"], "symbol"),
+            (["converge", "--config", "{str_config}"], "steps"),
+            (["converge", "--m", "nan"], "degree m"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
         bad_config = tmp_path / "config.json"
         bad_config.write_text(json.dumps({"bogus": 1, "points_per_axis": 32}))
-        argv = [a.format(bad_config=bad_config) for a in argv]
+        str_config = tmp_path / "str_config.json"
+        str_config.write_text(json.dumps({"steps": "3"}))
+        argv = [a.format(bad_config=bad_config, str_config=str_config) for a in argv]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err

@@ -2,11 +2,16 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from specmeans import symbols
 from specmeans.symbols import (
     MeanFunction,
     TheoremParameters,
@@ -38,8 +43,9 @@ class TestSymbols:
         assert sigma(np.array(0.0)) == 0.0
 
     def test_degree_validated(self):
-        with pytest.raises(ValueError):
-            power_symbol(0.5)
+        for m in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="degree m"):
+                power_symbol(m)
 
 
 class TestMeanFunctions:
@@ -86,6 +92,13 @@ class TestMeanFunctions:
         for j in (1, 2, 3):
             assert np.all(p.derivative(j, np.array([0.1, 0.4, 1.0, 3.0])) == 0.0)
 
+    def test_cutoff_validated(self):
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau"):
+                make_smooth_cutoff_mean(tau)
+        with pytest.raises(ValueError):
+            make_smooth_cutoff_mean(1.0).derivative(7, np.array([0.75]))
+
     def test_p0_validated(self):
         with pytest.raises(ValueError):
             MeanFunction(lambda lam: 2.0 * np.ones_like(np.asarray(lam, dtype=float)), "bad")
@@ -104,6 +117,18 @@ class TestIntegrability:
         assert res.finite
         # exponent (3-1-1)/2 = 1/2; oracle integral is Gamma(3/2)
         assert res.value == pytest.approx(math.gamma(1.5), rel=1e-8)
+
+    @pytest.mark.parametrize("tau", [0.75, 1.3125, 3.0])
+    def test_cutoff_support_past_one(self, tau):
+        # support [0, tau] may end above lambda = 1; oracle: closed form on
+        # [0, tau/2] plus an independent quadrature of the bridge
+        p = make_smooth_cutoff_mean(tau)
+        e = (1 - 0.5 - 1.0) / 2.0
+        bridge, _ = quad(lambda lam: float(p(lam)) * lam**e, tau / 2, tau, epsabs=0, epsrel=1e-12)
+        oracle = (tau / 2) ** (e + 1) / (e + 1) + bridge
+        res = check_integrability(p, 1, 0.5, 2.0)
+        assert res.finite
+        assert res.value == pytest.approx(oracle, rel=1e-7)  # quad epsrel 1.5e-8
 
     def test_non_decaying_fails(self):
         one = MeanFunction(
@@ -229,3 +254,72 @@ class TestHypothesisReport:
                 TheoremParameters(N=1, m=2, p=2, p0=2, alpha=0.5, beta=1.0),
                 make_gaussian_mean(),
             )
+
+
+class TestCutoffJet:
+    """Derivatives of the smooth-cutoff bridge from its Taylor jet."""
+
+    @pytest.mark.parametrize("tau", [0.6, 1.0, 1.3125, 3.0])
+    def test_matches_mpmath(self, tau):
+        mpmath = pytest.importorskip("mpmath")
+        p = make_smooth_cutoff_mean(tau)
+        half = tau / 2
+        # both ends of the bridge (within 1e-3, and where cancellation in the
+        # expanded quotient rule used to lose digits) and its midpoint
+        points = [half + 5e-4, half + 1e-3, half + 8e-3 * tau, 0.75 * tau,
+                  tau - 8e-3 * tau, tau - 1e-3, tau - 5e-4]
+        with mpmath.workdps(50):
+            t = mpmath.mpf(tau)
+
+            def bridge(x):
+                return 1 / (1 + mpmath.exp(1 / (t - x) - 1 / (x - t / 2)))
+
+            ref = np.array(
+                [[float(d) for d in mpmath.diffs(bridge, mpmath.mpf(x), 6)] for x in points]
+            )
+        for j in range(7):
+            sup = np.max(np.abs(p.derivative(j, symbols._DECAY_GRID)))
+            got = p.derivative(j, np.array(points))
+            assert np.max(np.abs(got - ref[:, j])) <= 1e-12 * sup, j
+
+    @settings(max_examples=20, deadline=None)
+    @given(tau=st.floats(0.05, 50.0), u=st.floats(0.01, 0.99))
+    def test_random_points_match_mpmath(self, tau, u):
+        mpmath = pytest.importorskip("mpmath")
+        p = make_smooth_cutoff_mean(tau)
+        x = tau / 2 + u * tau / 2
+        with mpmath.workdps(40):
+            t = mpmath.mpf(tau)
+            ref = [
+                float(d)
+                for d in mpmath.diffs(
+                    lambda y: 1 / (1 + mpmath.exp(1 / (t - y) - 1 / (y - t / 2))), mpmath.mpf(x), 6
+                )
+            ]
+        bridge = np.linspace(tau / 2, tau, 2001)
+        for j in range(7):
+            sup = np.max(np.abs(p.derivative(j, bridge)))
+            assert abs(float(p.derivative(j, np.array([x]))[0]) - ref[j]) <= 1e-12 * sup, j
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.6, 1.0, 1.3125, 3.0, 1e3])
+    def test_finite_on_decay_grid(self, tau):
+        p = make_smooth_cutoff_mean(tau)
+        lam = symbols._DECAY_GRID
+        flat = (lam <= tau / 2) | (lam >= tau)
+        for j in range(7):
+            vals = p.derivative(j, lam)
+            assert np.all(np.isfinite(vals)), j
+            exact = np.where(lam <= tau / 2, 1.0, 0.0) if j == 0 else np.zeros_like(lam)
+            assert np.array_equal(vals[flat], exact[flat]), j
+
+    def test_cli_does_not_import_sympy(self):
+        code = (
+            "import sys\n"
+            "from specmeans.cli import main\n"
+            "rc = main(['conditions', '--mean', 'cutoff:1', '--l', '3'])\n"
+            "sys.exit(rc or 10 * ('sympy' in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode != 10, "sympy was imported"
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
