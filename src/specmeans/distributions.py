@@ -274,10 +274,9 @@ def distribution_convergence(
     records = []
     for t in t_list:
         plan = spectral_mean_plan(p, t, sigma, spec)
-        err_coeffs = (plan.values - 1.0) * F.coefficients
-        g = inverse_transform(SpectrumFunction(spec, bessel * err_coeffs))
+        g = SpectrumFunction(spec, bessel * ((plan.values - 1.0) * F.coefficients))
         if window is not None:
-            g = g * window
+            g = inverse_transform(g) * window
         err = lp_norm(g, p_exp)
         rec = {"t": float(t), "error": float(err)}
         if probe is not None:

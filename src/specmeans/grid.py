@@ -186,7 +186,7 @@ def _field_to_json(spec: GridSpec, arr: np.ndarray) -> str:
                 "n": spec.points_per_axis,
                 "L": spec.period,
             },
-            "values": [[float(v.real), float(v.imag)] for v in flat],
+            "values": np.stack([flat.real, flat.imag], -1).tolist(),
         }
     )
 
@@ -219,10 +219,16 @@ def inverse_transform(F: SpectrumFunction) -> GridFunction:
     return GridFunction(spec, values)
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Discrete L_p norm over the period cell; p = inf gives the max norm."""
+def lp_norm(f: GridFunction | SpectrumFunction, p: float) -> float:
+    """Discrete L_p norm over the period cell; p = inf gives the max norm.
+
+    A spectrum is measured as the grid function it transforms to: at
+    p = 2 by Parseval, with no inverse transform.
+    """
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
+    if isinstance(f, SpectrumFunction):
+        return spectral_l2_norm(f) if p == 2 else lp_norm(inverse_transform(f), p)
     mags = np.abs(f.values)
     if p == np.inf:
         return float(mags.max())
@@ -234,7 +240,7 @@ def spectral_l2_norm(F: SpectrumFunction) -> float:
     side (Parseval under the transform convention)."""
     spec = F.spec
     weight = (2.0 * np.pi) ** spec.dimension * spec.freq_cell_volume
-    return float(np.sqrt(weight * np.sum(np.abs(F.coefficients) ** 2)))
+    return float(np.sqrt(weight * np.vdot(F.coefficients, F.coefficients).real))
 
 
 def pair(f: GridFunction, g: GridFunction) -> complex:

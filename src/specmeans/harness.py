@@ -7,15 +7,15 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .distributions import CompactDistribution, PointAtom, distribution_convergence
-from .grid import GridFunction, GridSpec, forward_transform, inverse_transform
-from .grid import SpectrumFunction, lp_norm
-from .multipliers import spectral_derivative, spectral_mean
+from .grid import GridFunction, GridSpec, SpectrumFunction, forward_transform, lp_norm
+from .multipliers import spectral_derivative, spectral_mean_plan
 from .signals import make_signal
 from .spaces import (
     NormSpec,
@@ -57,48 +57,63 @@ __all__ = [
 ]
 
 
+def _parse_spec(field: str, text: str, table: dict):
+    """Build the object a 'name:x:y' spec string names.
+
+    table[name] = (constructor, {field name: default}), with default None
+    for a required field; omitted trailing fields take their defaults.
+    Every error names `field`, including the constructor's own.
+    """
+    name, *values = text.split(":")
+    if name not in table:
+        raise ValueError(f"unknown {field} {text!r}")
+    constructor, defaults = table[name]
+    names = ":".join(defaults)
+    required = sum(d is None for d in defaults.values())
+    if not required <= len(values) <= len(defaults):
+        takes = f"the fields {names}" if defaults else "no fields"
+        raise ValueError(f"{field} {text!r}: {name} takes {takes}")
+    try:
+        given = [float(v) for v in values]
+    except ValueError:
+        raise ValueError(f"{field} {text!r}: fields {names} must be numbers") from None
+    args = dict(zip(defaults, given + list(defaults.values())[len(values):]))
+    try:
+        return constructor(**args)
+    except ValueError as exc:
+        raise ValueError(f"{field} {text!r}: {exc}") from None
+
+
+_SP, _SPQ = {"s": None, "p": None}, {"s": None, "p": None, "q": None}
+_NORMS = {
+    name: (partial(NormSpec, "besov_lp" if name == "besov" else name), fields)
+    for name, fields in dict(
+        lp={"p": 2.0}, liouville=_SP, sobolev=_SP, nikolskii=_SP, slobodetskii=_SP,
+        besov=_SPQ, besov_lp=_SPQ, besov_modulus=_SPQ, classical_besov=_SPQ,
+    ).items()
+}
+
+
 def parse_mean(text: str) -> MeanFunction:
-    parts = text.split(":")
-    if parts[0] == "gaussian":
-        return make_gaussian_mean()
-    if parts[0] == "riesz":
-        return make_riesz_mean(float(parts[1]) if len(parts) > 1 else 1.0)
-    if parts[0] == "cutoff":
-        return make_smooth_cutoff_mean(float(parts[1]) if len(parts) > 1 else 1.0)
-    raise ValueError(f"unknown mean {text!r}")
+    """e.g. 'gaussian', 'riesz:2', 'cutoff:1'."""
+    return _parse_spec("mean", text, {
+        "gaussian": (make_gaussian_mean, {}),
+        "riesz": (make_riesz_mean, {"s": 1.0}),
+        "cutoff": (make_smooth_cutoff_mean, {"tau": 1.0}),
+    })
 
 
 def parse_symbol(text: str) -> HomogeneousSymbol:
-    parts = text.split(":")
-    if parts[0] == "abs":
-        return power_symbol(float(parts[1]) if len(parts) > 1 else 2.0)
-    if parts[0] == "quartic":
-        return quartic_symbol()
-    raise ValueError(f"unknown symbol {text!r}")
-
-
-_NORM_FIELDS = dict(
-    lp=("p",), liouville=("s", "p"), sobolev=("s", "p"), nikolskii=("s", "p"),
-    slobodetskii=("s", "p"), besov_lp=("s", "p", "q"), besov_modulus=("s", "p", "q"),
-    classical_besov=("s", "p", "q"),
-)
+    """e.g. 'abs:2', 'quartic'."""
+    return _parse_spec("symbol", text, {
+        "abs": (power_symbol, {"m": 2.0}),
+        "quartic": (quartic_symbol, {}),
+    })
 
 
 def parse_norm_spec(text: str) -> NormSpec:
     """e.g. 'liouville:0.5:2', 'besov:0.5:2:2', 'lp:2', 'nikolskii:0.7:2'."""
-    name, *values = text.split(":")
-    kind = "besov_lp" if name == "besov" else name
-    if kind not in _NORM_FIELDS:
-        raise ValueError(f"unknown norm spec {text!r}")
-    names = _NORM_FIELDS[kind]
-    if kind == "lp" and not values:
-        values = ["2"]
-    if len(values) != len(names):
-        raise ValueError(f"space {text!r}: {name} takes the fields {':'.join(names)}")
-    try:
-        return NormSpec(kind, **{n: float(v) for n, v in zip(names, values)})
-    except ValueError:
-        raise ValueError(f"space {text!r}: fields {':'.join(names)} must be numbers") from None
+    return _parse_spec("space", text, _NORMS)
 
 
 # annotation of an ExperimentConfig field -> accepted values (bool excluded)
@@ -242,16 +257,14 @@ def _fit_slope(ts: np.ndarray, errs: np.ndarray, floor: float) -> float:
 
 
 def _band_truncation_error(
-    u: GridFunction, norm_spec: NormSpec, window
+    U: SpectrumFunction, norm_spec: NormSpec, window, partition
 ) -> float:
-    """Norm of the outermost-octave part of u: proxy for what the finite
-    band cannot represent."""
-    spec = u.spec
-    xi = spec.frequency_magnitude()
+    """Norm of the outermost-octave part of the spectrum U: proxy for what
+    the finite band cannot represent."""
+    xi = U.spec.frequency_magnitude()
     cut = float(np.max(xi)) / 2.0
-    F = forward_transform(u)
-    hi = inverse_transform(SpectrumFunction(spec, F.coefficients * (xi > cut)))
-    return localized_norm(hi, window, norm_spec)
+    hi = SpectrumFunction(U.spec, U.coefficients * (xi > cut))
+    return localized_norm(hi, window, norm_spec, partition)
 
 
 def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
@@ -266,14 +279,18 @@ def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
     )
 
     ts = config.t_schedule()
-    u_norm = localized_norm(u, window, norm_spec)
-    band_err = _band_truncation_error(u, norm_spec, window)
+    # u is transformed once; p(tA)u and p(tA)u - u are formed as spectra
+    U = forward_transform(u)
+    partition = build_partition(spec) if norm_spec.kind == "besov_lp" else None
+    u_norm = localized_norm(U, window, norm_spec, partition)
+    band_err = _band_truncation_error(U, norm_spec, window, partition)
     errs, ratios = [], []
     for t in ts:
-        v = spectral_mean(mean, t, sigma, u)
-        ratios.append(localized_norm(v, window, norm_spec) / u_norm)
-        v = v - u  # rebinding frees p(tA)u: one field is alive per norm call
-        errs.append(localized_norm(v, window, norm_spec))
+        P = spectral_mean_plan(mean, t, sigma, spec).values
+        v = SpectrumFunction(spec, P * U.coefficients)
+        ratios.append(localized_norm(v, window, norm_spec, partition) / u_norm)
+        v = SpectrumFunction(spec, (P - 1.0) * U.coefficients)
+        errs.append(localized_norm(v, window, norm_spec, partition))
     bound_ratio = max(ratios)
     floor_candidate = errs[-1]
     floor_validated = floor_candidate <= 2.0 * max(band_err, 1e-14 * (errs[0] or 1.0))
@@ -367,14 +384,17 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     if norm_spec.kind in ("besov_lp", "besov_modulus"):
         s, pp, qq = norm_spec.s, norm_spec.p, norm_spec.q
 
-    def brackets(gspec: GridSpec) -> dict:
-        corpus = trig_corpus(gspec, config.corpus_size, int(config.band), config.seed)
+    def corpus(gspec: GridSpec) -> list:
+        return trig_corpus(gspec, config.corpus_size, int(config.band), config.seed)
+
+    def brackets(fs: list) -> dict:
+        gspec = fs[0].spec
         partition = build_partition(gspec)
         params = BesovParams(s, pp, qq)
         ratios = {"modulus_vs_lp": [], "classical_vs_lp": [], "nikolskii_vs_lp": []}
         if gspec.dimension == 1:
             ratios["slobodetskii_vs_classical"] = []
-        for f in corpus:
+        for f in fs:
             blp = besov_norm_lp(f, params, partition)
             bmod = besov_norm_modulus(f, params, m=2, n1=0)
             bcl = classical_besov_norm(f, BesovParams(s, pp, pp))
@@ -390,14 +410,14 @@ def run_equivalence(config: ExperimentConfig) -> dict:
             for key, v in ratios.items()
         }
 
-    coarse = brackets(spec)
-    fine = brackets(GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period))
+    coarse_corpus = corpus(spec)
+    coarse = brackets(coarse_corpus)
+    fine = brackets(corpus(GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period)))
 
     # Liouville vs Sobolev quadratic identity at p = 2, s = 1
-    corpus = trig_corpus(spec, config.corpus_size, int(config.band), config.seed)
     axes = np.eye(spec.dimension, dtype=int)
     lio_ratios = []
-    for f in corpus:
+    for f in coarse_corpus:
         lio = liouville_norm(f, 1.0, 2.0)
         quad = math.sqrt(
             lp_norm(f, 2.0) ** 2

@@ -197,8 +197,10 @@ def converge_error(
     norm_spec,
     window: GridFunction | None = None,
 ) -> float:
-    """Localized norm of p(tA)u - u under the requested norm route."""
+    """Localized norm of p(tA)u - u under the requested norm route, from
+    its spectrum (p(t sigma) - 1) u_hat."""
     from .spaces import localized_norm  # deferred: spaces builds on this module
 
-    err = spectral_mean(p, t, sigma, u) - u
+    P = spectral_mean_plan(p, t, sigma, u.spec).values
+    err = SpectrumFunction(u.spec, (P - 1.0) * forward_transform(u).coefficients)
     return localized_norm(err, window, norm_spec)

@@ -17,13 +17,15 @@ from math import comb
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, lp_norm
-from .multipliers import (
-    MultiplierPlan,
-    apply_multiplier,
-    bessel_order,
-    spectral_derivative,
+from .grid import (
+    GridFunction,
+    GridSpec,
+    SpectrumFunction,
+    forward_transform,
+    inverse_transform,
+    lp_norm,
 )
+from .multipliers import bessel_plan, spectral_derivative
 
 __all__ = [
     "LittlewoodPaleyPartition",
@@ -121,29 +123,41 @@ class BesovParams:
             raise ValueError("p and q must be >= 1 (inf allowed)")
 
 
-def liouville_norm(f: GridFunction, s: float, p: float) -> float:
+def _spectrum(f: GridFunction | SpectrumFunction) -> SpectrumFunction:
+    return f if isinstance(f, SpectrumFunction) else forward_transform(f)
+
+
+def _samples(f: GridFunction | SpectrumFunction) -> GridFunction:
+    return inverse_transform(f) if isinstance(f, SpectrumFunction) else f
+
+
+def _block_norm(F: SpectrumFunction, multiplier: np.ndarray, p: float) -> float:
+    """L_p norm of the block with spectrum multiplier * F."""
+    return lp_norm(SpectrumFunction(F.spec, multiplier * F.coefficients), p)
+
+
+def liouville_norm(f: GridFunction | SpectrumFunction, s: float, p: float) -> float:
     """L_p norm of the Bessel-weighted function (order s, any sign)."""
-    return lp_norm(bessel_order(s, f), p)
+    F = _spectrum(f)
+    return _block_norm(F, bessel_plan(s, F.spec).values, p)
 
 
 def besov_norm_lp(
-    f: GridFunction, params: BesovParams, partition: LittlewoodPaleyPartition
+    f: GridFunction | SpectrumFunction,
+    params: BesovParams,
+    partition: LittlewoodPaleyPartition,
 ) -> float:
     """Littlewood-Paley Besov norm: base block plus the l_q sum of
-    2^{sk}-weighted shell norms."""
+    2^{sk}-weighted shell norms.  f is transformed once; each block
+    costs one inverse transform, none at p = 2."""
     if partition.spec != f.spec:
         raise ValueError("partition grid does not match")
-    base = apply_multiplier(
-        MultiplierPlan(f.spec, partition.base_multiplier, "lp base"), f
-    )
-    total = lp_norm(base, params.p)
-    terms = []
-    for k in range(1, partition.k_max + 1):
-        piece = apply_multiplier(
-            MultiplierPlan(f.spec, partition.shell(k), f"lp shell {k}"), f
-        )
-        terms.append(2.0 ** (params.s * k) * lp_norm(piece, params.p))
-    terms = np.array(terms)
+    F = _spectrum(f)
+    total = _block_norm(F, partition.base_multiplier, params.p)
+    terms = np.array([
+        2.0 ** (params.s * k) * _block_norm(F, partition.shell(k), params.p)
+        for k in range(1, partition.k_max + 1)
+    ])
     if params.q == np.inf:
         total += float(np.max(terms))
     else:
@@ -408,6 +422,10 @@ class NormSpec:
     m: int = 2
     n1: int = 0
 
+    def __post_init__(self):
+        if any(math.isnan(v) for v in (self.p, self.s, self.q)):
+            raise ValueError(f"{self.kind} fields must be numbers")
+
     def label(self) -> str:
         if self.kind == "lp":
             return f"L{self.p:g}"
@@ -419,10 +437,15 @@ class NormSpec:
 
 
 def evaluate_norm(
-    f: GridFunction,
+    f: GridFunction | SpectrumFunction,
     norm_spec: NormSpec,
     partition: LittlewoodPaleyPartition | None = None,
 ) -> float:
+    """The norm_spec norm of f, given by its samples or by its spectrum.
+
+    The lp, liouville and besov_lp routes are diagonal in frequency and
+    take a spectrum as it is; the difference routes work on the samples.
+    """
     kind = norm_spec.kind
     if kind == "lp":
         return lp_norm(f, norm_spec.p)
@@ -432,6 +455,7 @@ def evaluate_norm(
         if partition is None:
             partition = build_partition(f.spec)
         return besov_norm_lp(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), partition)
+    f = _samples(f)
     if kind == "besov_modulus":
         return besov_norm_modulus(
             f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), norm_spec.m, norm_spec.n1
@@ -448,7 +472,7 @@ def evaluate_norm(
 
 
 def localized_norm(
-    f: GridFunction,
+    f: GridFunction | SpectrumFunction,
     window: GridFunction | None,
     norm_spec: NormSpec,
     partition: LittlewoodPaleyPartition | None = None,
@@ -459,5 +483,5 @@ def localized_norm(
         w = window.values.real
         if np.min(w) < -1e-12 or np.max(w) > 1.0 + 1e-12:
             raise ValueError("window values must lie in [0, 1]")
-        f = f * window
+        f = _samples(f) * window
     return evaluate_norm(f, norm_spec, partition)

@@ -130,8 +130,8 @@ class MeanFunction:
 
 def make_riesz_mean(s: float) -> MeanFunction:
     """Riesz profile (1 - lambda)_+^s; s = 0 is the sharp indicator."""
-    if s < 0:
-        raise ValueError(f"Riesz order must be >= 0, got {s}")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"Riesz order must be finite and >= 0, got {s}")
 
     def ev(lam):
         lam = np.asarray(lam, dtype=float)

@@ -1,5 +1,7 @@
 """Transform layer: round trips, Parseval, norms, pairings."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,17 @@ class TestSerialization:
         F = forward_transform(random_field(GridSpec(1, 16), seed=6))
         G = SpectrumFunction.from_json(F.to_json())
         assert np.allclose(G.coefficients, F.coefficients, atol=0, rtol=1e-15)
+
+    def test_to_json_matches_per_element_formula(self):
+        spec = GridSpec(1, 16)
+        special = [-0.0, 5e-324, -2.2e-310, 1e300, -1e-300, 3.0, -7.0, 0.1, 2.0**53, 1.0 / 3.0]
+        re_part = np.array(special + [0.0] * 6)
+        im_part = np.array([0.0] * 6 + special[::-1])
+        values = (re_part + 1j * im_part).reshape(spec.shape)
+        values[-1] = complex(-0.0, -0.0)
+        for field in (GridFunction(spec, values), SpectrumFunction(spec, values)):
+            flat = values.reshape(-1)
+            old = [[float(v.real), float(v.imag)] for v in flat]
+            expected = json.dumps({"spec": {"N": 1, "n": 16, "L": spec.period}, "values": old})
+            assert field.to_json() == expected
+

@@ -16,6 +16,7 @@ from specmeans import (
     run_convergence_function,
     run_equivalence,
 )
+from specmeans import harness, spaces
 from specmeans.cli import main as cli_main
 from specmeans.harness import (
     CSV_HEADER,
@@ -122,6 +123,40 @@ class TestConvergenceFunction:
         config = ExperimentConfig(mean="riesz:0", l=1)
         report = run_convergence_function(config)
         assert report.hypothesis_passed is False
+
+    @pytest.mark.parametrize("window_radius", [None, 1.0])
+    def test_one_partition_per_run(self, window_radius, monkeypatch):
+        builds = []
+
+        def counted(spec, build=spaces.build_partition):
+            builds.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(harness, "build_partition", counted)
+        monkeypatch.setattr(spaces, "build_partition", counted)
+        run_convergence_function(
+            ExperimentConfig(dimension=2, points_per_axis=16, space="besov:0.5:2:2", steps=4,
+                             window_radius=window_radius)
+        )
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("space", ["lp:2", "liouville:0.5:2", "besov:0.5:2:2"])
+    def test_transforms_do_not_grow_with_steps(self, space, monkeypatch):
+        calls = {"fftn": 0, "ifftn": 0}
+        for name in calls:
+
+            def counted(*args, name=name, transform=getattr(np.fft, name), **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        per_run = []
+        for steps in (2, 6):
+            calls.update(fftn=0, ifftn=0)
+            run_convergence_function(ExperimentConfig(space=space, steps=steps))
+            per_run.append(dict(calls))
+        assert per_run[0] == per_run[1]
+        assert per_run[1]["ifftn"] == 0  # p = 2: every norm by Parseval
 
 
 class TestConvergenceDistribution:
@@ -272,6 +307,12 @@ class TestCLI:
             (["converge", "--grid", "3,8", "--symbol", "quartic"], "symbol"),
             (["converge", "--config", "{str_config}"], "steps"),
             (["converge", "--m", "nan"], "degree m"),
+            (["converge", "--mean", "cutoff:1:2:3"], "mean"),
+            (["converge", "--mean", "gaussian:7"], "mean"),
+            (["converge", "--mean", "riesz:abc"], "mean"),
+            (["converge", "--mean", "riesz:nan"], "mean"),
+            (["converge", "--symbol", "abs:2:3"], "symbol"),
+            (["converge", "--space", "lp:nan"], "space"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):

@@ -14,6 +14,7 @@ from specmeans import (
     GridFunction,
     GridSpec,
     NormSpec,
+    SpectrumFunction,
     besov_norm_lp,
     besov_norm_modulus,
     build_partition,
@@ -21,6 +22,7 @@ from specmeans import (
     difference,
     difference_norms,
     evaluate_norm,
+    inverse_transform,
     liouville_norm,
     localized_norm,
     lp_norm,
@@ -261,6 +263,33 @@ class TestWindowAndDispatch:
         assert evaluate_norm(
             f, NormSpec(kind="slobodetskii", s=0.5, p=2)
         ) == pytest.approx(slobodetskii_norm(f, 0.5, 2), rel=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        grid=st.sampled_from([(1, 16), (1, 64), (2, 8), (2, 32), (3, 8)]),
+        p=st.sampled_from([1.0, 2.0, 3.0, np.inf]),
+        q=st.sampled_from([1.0, 2.0, np.inf]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(grid=(3, 8), p=2.0, q=np.inf, seed=0)
+    def test_spectrum_input_matches_samples(self, grid, p, q, seed):
+        spec = GridSpec(*grid)
+        rng = np.random.default_rng(seed)
+        F = SpectrumFunction(spec, rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
+        f = inverse_transform(F)
+        window = smooth_window(spec, spec.period / 4)
+        for ns in (
+            NormSpec("lp", p=p),
+            NormSpec("liouville", s=0.7, p=p),
+            NormSpec("liouville", s=-1.5, p=p),
+            NormSpec("besov_lp", s=0.5, p=p, q=q),
+        ):
+            assert evaluate_norm(F, ns) == pytest.approx(evaluate_norm(f, ns), rel=1e-12, abs=0)
+            assert localized_norm(F, window, ns) == pytest.approx(
+                localized_norm(f, window, ns), rel=1e-12, abs=0
+            )
+        ns = NormSpec("sobolev", s=1, p=p)  # a difference-free sample route
+        assert evaluate_norm(F, ns) == evaluate_norm(f, ns)
 
     def test_unknown_kind(self):
         f = trig_signal(GridSpec(1, 64))
