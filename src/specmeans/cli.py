@@ -9,12 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
     parse_mean,
     parse_norm_spec,
+    parse_symbol,
     report_to_csv,
     report_to_json,
     run_conditions,
@@ -22,88 +24,112 @@ from .harness import (
     run_convergence_function,
     run_equivalence,
 )
+from .multipliers import spectral_mean
+from .signals import make_signal
+from .spaces import evaluate_norm
 
 
-def _add_common(sub):
-    sub.add_argument("--config", type=str, default=None, help="JSON config path")
-    sub.add_argument("--t0", type=float, default=None)
-    sub.add_argument("--ratio", type=float, default=None)
-    sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--grid", type=str, default=None, help="n or N,n[,L]")
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--q", type=float, default=None)
-    sub.add_argument("--p0", type=float, default=None)
-    sub.add_argument("--l", type=int, default=None)
-    sub.add_argument("--N", type=int, default=None)
-    sub.add_argument("--m", type=float, default=None)
-    sub.add_argument("--mean", type=str, default=None)
-    sub.add_argument("--symbol", type=str, default=None)
-    sub.add_argument("--signal", type=str, default=None)
-    sub.add_argument("--space", type=str, default=None)
-    sub.add_argument("--theorem", type=str, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", type=str, choices=("csv", "json"), default=None)
+def _grid_fields(text: str) -> dict:
+    """The config fields `--grid n | N,n | N,n,L` sets; the ones it
+    leaves out keep their values."""
+    parts = text.split(",")
+    names = ("points_per_axis",) if len(parts) == 1 else ("dimension", "points_per_axis", "period")
+    error = ValueError(f"grid {text!r}: expected n or N,n[,L] with whole N and n")
+    if len(parts) > len(names):
+        raise error
+    try:
+        return {k: (float if k == "period" else int)(v) for k, v in zip(names, parts)}
+    except ValueError:
+        raise error from None
+
+
+# flag -> (argparse type, the ExperimentConfig field its value sets, or a
+# function from its value to the fields it sets), in --help order; the
+# functions apply last, so --m overrides --symbol and --grid overrides --N
+_FLAGS = {
+    "t0": (float, "t0"),
+    "ratio": (float, "ratio"),
+    "steps": (int, "steps"),
+    "grid": (str, _grid_fields),
+    "alpha": (float, "alpha"),
+    "beta": (float, "beta"),
+    "p": (float, "p"),
+    "q": (float, "q"),
+    "p0": (float, "p0"),
+    "l": (int, "l"),
+    "N": (int, "dimension"),
+    "m": (float, lambda m: {"symbol": f"abs:{m:g}"}),
+    "mean": (str, "mean"),
+    "symbol": (str, "symbol"),
+    "signal": (str, "signal"),
+    "space": (str, "space"),
+    "theorem": (str, "theorem"),
+    "seed": (int, "seed"),
+    "out": (str, "out"),
+    "format": (str, "format"),
+}
+_FLAG_OPTIONS = {"grid": {"help": "n or N,n[,L]"}, "format": {"choices": ("csv", "json")}}
+_COMMANDS = {
+    "converge": "converge_function",
+    "converge-dist": "converge_distribution",
+    "equivalence": "equivalence",
+    "conditions": "conditions",
+    "norm": "norm",
+    "apply": "apply",
+}
+# --via -> the Besov route it selects
+_VIA = {"lp": "besov_lp", "modulus": "besov_modulus", "classical": "classical_besov"}
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="specmeans")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("converge", "converge-dist", "equivalence", "conditions", "norm", "apply"):
+    for name in _COMMANDS:
         sub = subs.add_parser(name)
-        _add_common(sub)
+        sub.add_argument("--config", type=str, default=None, help="JSON config path")
+        for flag, (kind, _) in _FLAGS.items():
+            sub.add_argument(f"--{flag}", type=kind, default=None, **_FLAG_OPTIONS.get(flag, {}))
         if name == "norm":
-            sub.add_argument("--via", type=str, default="lp", choices=("lp", "modulus", "classical"))
+            sub.add_argument("--via", type=str, default="lp", choices=tuple(_VIA))
         if name == "apply":
             sub.add_argument("--t", type=float, default=1e-2)
     return parser
 
 
-def _config_from_args(args, kind: str) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
-    config.kind = kind
-    overrides = {
-        "t0": args.t0,
-        "ratio": args.ratio,
-        "steps": args.steps,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "p": args.p,
-        "q": args.q,
-        "p0": args.p0,
-        "l": args.l,
-        "mean": args.mean,
-        "symbol": args.symbol,
-        "signal": args.signal,
-        "space": args.space,
-        "theorem": args.theorem,
-        "seed": args.seed,
-        "out": args.out,
-        "format": args.format,
-    }
-    for key, value in overrides.items():
+def _config_from_args(args) -> ExperimentConfig:
+    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    changes = {}
+    for flag, (_, target) in sorted(_FLAGS.items(), key=lambda item: callable(item[1][1])):
+        value = getattr(args, flag)
         if value is not None:
-            setattr(config, key, value)
-    if args.N is not None:
-        config.dimension = args.N
-    if args.m is not None:
-        config.symbol = f"abs:{args.m:g}"
-    if args.grid is not None:
-        parts = args.grid.split(",")
-        if len(parts) == 1:
-            config.points_per_axis = int(parts[0])
-        else:
-            config.dimension = int(parts[0])
-            config.points_per_axis = int(parts[1])
-            if len(parts) > 2:
-                config.period = float(parts[2])
-    config.__post_init__()
-    return config
+            changes.update(target(value) if callable(target) else {target: value})
+    return replace(config, kind=_COMMANDS[args.command], **changes)
+
+
+def _run(args, config: ExperimentConfig) -> tuple:
+    """(text, exit code) of one command."""
+    if args.command in ("converge", "converge-dist"):
+        run = run_convergence_function if args.command == "converge" else run_convergence_distribution
+        report = run(config)
+        text = report_to_csv(report) if config.format == "csv" else report_to_json(report)
+        violated = report.hypothesis_passed and not report.monotone and not report.floor_validated
+        return text, 3 if violated else 0
+    if args.command == "equivalence":
+        return json.dumps(run_equivalence(config), indent=2), 0
+    if args.command == "conditions":
+        return run_conditions(config), 0
+    f = make_signal(config.signal, config.grid)
+    if args.command == "apply":
+        result = spectral_mean(parse_mean(config.mean), args.t, parse_symbol(config.symbol), f)
+        return result.to_json(), 0
+    norm_spec = parse_norm_spec(config.space)
+    if args.via != "lp":
+        if norm_spec.kind not in _VIA.values():
+            raise ValueError(f"via {args.via!r} needs a Besov space, got {config.space!r}")
+        norm_spec = replace(norm_spec, kind=_VIA[args.via])
+    value = evaluate_norm(f, norm_spec)
+    payload = {"signal": config.signal, "space": norm_spec.label(), "via": args.via, "value": value}
+    return json.dumps(payload, indent=2), 0
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,85 +146,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "converge":
-            config = _config_from_args(args, "converge_function")
-            report = run_convergence_function(config)
-            text = (
-                report_to_csv(report)
-                if config.format == "csv"
-                else report_to_json(report)
-            )
-            _emit(text, config.out)
-            if report.hypothesis_passed and not report.monotone and not report.floor_validated:
-                return 3
-            return 0
-        if args.command == "converge-dist":
-            config = _config_from_args(args, "converge_distribution")
-            if not config.atoms and not config.density_signal:
-                config.atoms = [{"x": [0.0] * config.dimension, "alpha": [0] * config.dimension, "c": [1.0, 0.0]}]
-            report = run_convergence_distribution(config)
-            text = (
-                report_to_csv(report)
-                if config.format == "csv"
-                else report_to_json(report)
-            )
-            _emit(text, config.out)
-            if report.hypothesis_passed and not report.monotone and not report.floor_validated:
-                return 3
-            return 0
-        if args.command == "equivalence":
-            config = _config_from_args(args, "equivalence")
-            _emit(json.dumps(run_equivalence(config), indent=2), config.out)
-            return 0
-        if args.command == "conditions":
-            config = _config_from_args(args, "conditions")
-            _emit(run_conditions(config), config.out)
-            return 0
-        if args.command == "norm":
-            config = _config_from_args(args, "norm")
-            from .signals import make_signal
-            from .spaces import evaluate_norm
-
-            spec = config.grid
-            f = make_signal(config.signal, spec)
-            norm_spec = parse_norm_spec(config.space)
-            if norm_spec.kind == "besov_lp" and args.via == "modulus":
-                norm_spec = parse_norm_spec(
-                    config.space.replace("besov", "besov_modulus", 1)
-                )
-            elif norm_spec.kind == "besov_lp" and args.via == "classical":
-                norm_spec = parse_norm_spec(
-                    config.space.replace("besov", "classical_besov", 1)
-                )
-            value = evaluate_norm(f, norm_spec)
-            _emit(
-                json.dumps(
-                    {
-                        "signal": config.signal,
-                        "space": norm_spec.label(),
-                        "via": args.via,
-                        "value": value,
-                    },
-                    indent=2,
-                ),
-                config.out,
-            )
-            return 0
-        if args.command == "apply":
-            config = _config_from_args(args, "apply")
-            from .harness import parse_symbol
-            from .multipliers import spectral_mean
-            from .signals import make_signal
-
-            spec = config.grid
-            f = make_signal(config.signal, spec)
-            result = spectral_mean(parse_mean(config.mean), args.t, parse_symbol(config.symbol), f)
-            _emit(result.to_json(), config.out)
-            return 0
+        config = _config_from_args(args)
+        text, code = _run(args, config)
+        _emit(text, config.out)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
+    return code
 
 
 if __name__ == "__main__":

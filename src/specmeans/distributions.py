@@ -220,15 +220,15 @@ def negative_liouville_norm(
     optionally localized through a smooth window."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0 (the order used is -alpha)")
-    g = _bessel_of_spectrum(spectrum_of_distribution(f, spec), -alpha)
-    if window is not None:
-        g = g * window
-    return lp_norm(g, p)
+    F = spectrum_of_distribution(f, spec)
+    G = SpectrumFunction(spec, bessel_plan(-alpha, spec).values * F.coefficients)
+    return _windowed_lp_norm(G, p, window)
 
 
-def _bessel_of_spectrum(F: SpectrumFunction, s: float) -> GridFunction:
-    plan = bessel_plan(s, F.spec)
-    return inverse_transform(SpectrumFunction(F.spec, plan.values * F.coefficients))
+def _windowed_lp_norm(G: SpectrumFunction, p: float, window: GridFunction | None) -> float:
+    """L_p norm of the grid function with spectrum G, times the window if
+    one is given; without one, by Parseval at p = 2."""
+    return lp_norm(G if window is None else inverse_transform(G) * window, p)
 
 
 def classify_membership(
@@ -275,9 +275,7 @@ def distribution_convergence(
     for t in t_list:
         plan = spectral_mean_plan(p, t, sigma, spec)
         g = SpectrumFunction(spec, bessel * ((plan.values - 1.0) * F.coefficients))
-        if window is not None:
-            g = inverse_transform(g) * window
-        err = lp_norm(g, p_exp)
+        err = _windowed_lp_norm(g, p_exp, window)
         rec = {"t": float(t), "error": float(err)}
         if probe is not None:
             # duality defect |<p(tA)f, phi> - <f, p(tA)phi>|

@@ -243,6 +243,37 @@ def spectral_l2_norm(F: SpectrumFunction) -> float:
     return float(np.sqrt(weight * np.vdot(F.coefficients, F.coefficients).real))
 
 
+def _parse_spec(field: str, text: str, table: dict, *args):
+    """Build the object a 'name:x:y' spec string names.
+
+    table[name] = (constructor, {field name: default}), with default None
+    for a required field; omitted trailing fields take their defaults.  A
+    field whose default is an int takes whole numbers only.  The
+    constructor is called with `args` first.  Every error names `field`,
+    including the constructor's own.
+    """
+    name, *values = text.split(":")
+    if name not in table:
+        raise ValueError(f"unknown {field} {text!r}")
+    constructor, defaults = table[name]
+    names = ":".join(defaults)
+    required = sum(d is None for d in defaults.values())
+    if not required <= len(values) <= len(defaults):
+        takes = f"the fields {names}" if defaults else "no fields"
+        raise ValueError(f"{field} {text!r}: {name} takes {takes}")
+    whole = [k for k, d in defaults.items() if isinstance(d, int)]
+    try:
+        given = [int(v) if k in whole else float(v) for k, v in zip(defaults, values)]
+    except ValueError:
+        also = f", {':'.join(whole)} whole" if whole else ""
+        raise ValueError(f"{field} {text!r}: fields {names} must be numbers{also}") from None
+    kwargs = dict(zip(defaults, given + list(defaults.values())[len(values):]))
+    try:
+        return constructor(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{field} {text!r}: {exc}") from None
+
+
 def pair(f: GridFunction, g: GridFunction) -> complex:
     r"""Bilinear pairing \int f g dx as a Riemann sum (no conjugation)."""
     if f.spec != g.spec:

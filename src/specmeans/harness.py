@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import CompactDistribution, PointAtom, distribution_convergence
-from .grid import GridFunction, GridSpec, SpectrumFunction, forward_transform, lp_norm
+from .grid import GridFunction, GridSpec, SpectrumFunction, _parse_spec, forward_transform, lp_norm
 from .multipliers import spectral_derivative, spectral_mean_plan
 from .signals import make_signal
 from .spaces import (
@@ -55,33 +55,6 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
 ]
-
-
-def _parse_spec(field: str, text: str, table: dict):
-    """Build the object a 'name:x:y' spec string names.
-
-    table[name] = (constructor, {field name: default}), with default None
-    for a required field; omitted trailing fields take their defaults.
-    Every error names `field`, including the constructor's own.
-    """
-    name, *values = text.split(":")
-    if name not in table:
-        raise ValueError(f"unknown {field} {text!r}")
-    constructor, defaults = table[name]
-    names = ":".join(defaults)
-    required = sum(d is None for d in defaults.values())
-    if not required <= len(values) <= len(defaults):
-        takes = f"the fields {names}" if defaults else "no fields"
-        raise ValueError(f"{field} {text!r}: {name} takes {takes}")
-    try:
-        given = [float(v) for v in values]
-    except ValueError:
-        raise ValueError(f"{field} {text!r}: fields {names} must be numbers") from None
-    args = dict(zip(defaults, given + list(defaults.values())[len(values):]))
-    try:
-        return constructor(**args)
-    except ValueError as exc:
-        raise ValueError(f"{field} {text!r}: {exc}") from None
 
 
 _SP, _SPQ = {"s": None, "p": None}, {"s": None, "p": None, "q": None}
@@ -203,6 +176,8 @@ class ExperimentConfig:
         return smooth_window(self.grid, self.window_radius)
 
     def distribution(self) -> CompactDistribution:
+        """The atoms and density of the config; a unit point mass at the
+        origin when it names neither."""
         atoms = tuple(
             PointAtom(
                 tuple(float(v) for v in np.atleast_1d(a.get("x", [0.0]))),
@@ -211,6 +186,8 @@ class ExperimentConfig:
             )
             for a in self.atoms
         )
+        if not atoms and not self.density_signal:
+            atoms = (PointAtom((0.0,) * self.dimension, (0,) * self.dimension, 1.0 + 0.0j),)
         density = (
             make_signal(self.density_signal, self.grid)
             if self.density_signal
@@ -274,43 +251,22 @@ def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
     u = make_signal(config.signal, spec)
     window = config.window()
     norm_spec = parse_norm_spec(config.space)
-    report = assemble_hypothesis_report(
-        config.theorem, config.theorem_parameters(), mean
-    )
 
-    ts = config.t_schedule()
     # u is transformed once; p(tA)u and p(tA)u - u are formed as spectra
     U = forward_transform(u)
     partition = build_partition(spec) if norm_spec.kind == "besov_lp" else None
     u_norm = localized_norm(U, window, norm_spec, partition)
     band_err = _band_truncation_error(U, norm_spec, window, partition)
-    errs, ratios = [], []
-    for t in ts:
+    records, ratios = [], []
+    for t in config.t_schedule():
         P = spectral_mean_plan(mean, t, sigma, spec).values
         v = SpectrumFunction(spec, P * U.coefficients)
         ratios.append(localized_norm(v, window, norm_spec, partition) / u_norm)
         v = SpectrumFunction(spec, (P - 1.0) * U.coefficients)
-        errs.append(localized_norm(v, window, norm_spec, partition))
-    bound_ratio = max(ratios)
-    floor_candidate = errs[-1]
-    floor_validated = floor_candidate <= 2.0 * max(band_err, 1e-14 * (errs[0] or 1.0))
-    floor = floor_candidate if floor_validated else max(band_err, 1e-14 * (errs[0] or 1.0))
-    slope = _fit_slope(np.array(ts), np.array(errs), floor)
-    monotone = all(b < a for a, b in zip(errs, errs[1:]))
-    records = [
-        {"t": t, "error": e, "space": norm_spec.label()} for t, e in zip(ts, errs)
-    ]
-    return ConvergenceReport(
-        records=records,
-        slope=slope,
-        floor=floor,
-        floor_validated=floor_validated,
-        monotone=monotone,
-        space=norm_spec.label(),
-        norm_route=norm_spec.kind,
-        hypothesis_json=report.to_json(),
-        hypothesis_passed=report.passed,
-        boundedness_ratio=bound_ratio,
+        records.append({"t": t, "error": localized_norm(v, window, norm_spec, partition)})
+    return _sweep_report(
+        config, mean, records, norm_spec.label(), norm_spec.kind, band_err,
+        boundedness_ratio=max(ratios),
     )
 
 
@@ -321,34 +277,44 @@ def run_convergence_distribution(config: ExperimentConfig) -> ConvergenceReport:
     f = config.distribution()
     window = config.window()
     probe = make_signal("bump", spec)
-    ts = config.t_schedule()
     records = distribution_convergence(
-        mean, ts, sigma, f, config.alpha, config.p, spec, window, probe
+        mean, config.t_schedule(), sigma, f, config.alpha, config.p, spec, window, probe
     )
+    return _sweep_report(
+        config, mean, records, f"liouville:{-config.alpha:g}:{config.p:g}",
+        "negative_liouville", 0.0,
+        extra={"pairing_errors": [r.get("pairing_error") for r in records]},
+    )
+
+
+def _sweep_report(
+    config: ExperimentConfig, mean: MeanFunction, records: list, space: str,
+    norm_route: str, band_err: float, **report_fields,
+) -> ConvergenceReport:
+    """Report of a sweep whose records hold t and error: the floor is
+    validated against band truncation and roundoff, the slope is fitted
+    above it, and the hypothesis report is attached."""
+    ts = np.array([r["t"] for r in records])
     errs = [r["error"] for r in records]
-    label = f"liouville:{-config.alpha:g}:{config.p:g}"
     for r in records:
-        r["space"] = label
-    floor_candidate = errs[-1]
-    roundoff = 1e-14 * (errs[0] or 1.0)
-    floor_validated = floor_candidate <= 2.0 * roundoff
-    floor = floor_candidate if floor_validated else roundoff
-    slope = _fit_slope(np.array(ts), np.array(errs), floor)
-    monotone = all(b < a for a, b in zip(errs, errs[1:]))
+        r["space"] = space
+    noise = max(band_err, 1e-14 * (errs[0] or 1.0))
+    floor_validated = errs[-1] <= 2.0 * noise
+    floor = errs[-1] if floor_validated else noise
     report = assemble_hypothesis_report(
         config.theorem, config.theorem_parameters(), mean
     )
     return ConvergenceReport(
         records=records,
-        slope=slope,
+        slope=_fit_slope(ts, np.array(errs), floor),
         floor=floor,
         floor_validated=floor_validated,
-        monotone=monotone,
-        space=label,
-        norm_route="negative_liouville",
+        monotone=all(b < a for a, b in zip(errs, errs[1:])),
+        space=space,
+        norm_route=norm_route,
         hypothesis_json=report.to_json(),
         hypothesis_passed=report.passed,
-        extra={"pairing_errors": [r.get("pairing_error") for r in records]},
+        **report_fields,
     )
 
 

@@ -9,7 +9,6 @@ mollifier is a multiplier with the bump's transform sampled at h*y.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +50,6 @@ class MultiplierPlan:
             raise ValueError("multiplier values must be finite")
         object.__setattr__(self, "values", arr)
         self.values.setflags(write=False)
-
-    def to_json(self) -> str:
-        flat = np.asarray(self.values, dtype=complex).reshape(-1)
-        return json.dumps(
-            {
-                "provenance": self.provenance,
-                "spec": {
-                    "N": self.spec.dimension,
-                    "n": self.spec.points_per_axis,
-                    "L": self.spec.period,
-                },
-                "multiplier": [[float(v.real), float(v.imag)] for v in flat],
-            }
-        )
 
 
 def apply_multiplier(plan: MultiplierPlan, f: GridFunction) -> GridFunction:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, _parse_spec
 from .spaces import smooth_step
 
 __all__ = ["make_signal", "standard_bump"]
@@ -40,6 +40,8 @@ def _truncated_cone(spec: GridSpec) -> GridFunction:
 
 def _random_bandlimited(spec: GridSpec, seed: int, band: float) -> GridFunction:
     """Real-valued random field with spectrum confined to |xi| <= band."""
+    if not band > 0:
+        raise ValueError(f"band must be positive, got {band}")
     rng = np.random.default_rng(seed)
     noise = rng.normal(size=spec.shape)
     coeffs = np.fft.fftn(noise)
@@ -78,21 +80,17 @@ def _fractional(spec: GridSpec, gamma: float, seed: int) -> GridFunction:
     return GridFunction(spec, vals * window)
 
 
+# name -> (generator, {field: default}); a seed defaults to an int, so
+# it takes whole numbers only
+_SIGNALS = {
+    "bump": (_bump, {}),
+    "truncated_cone": (_truncated_cone, {}),
+    "random_bandlimited": (_random_bandlimited, {"seed": 0, "band": 8.0}),
+    "fractional": (_fractional, {"gamma": 1.5, "seed": 0}),
+}
+
+
 def make_signal(signal_id: str, spec: GridSpec) -> GridFunction:
     """Signals: bump | truncated_cone | random_bandlimited:seed:band |
     fractional:gamma:seed."""
-    parts = signal_id.split(":")
-    name = parts[0]
-    if name == "bump":
-        return _bump(spec)
-    if name == "truncated_cone":
-        return _truncated_cone(spec)
-    if name == "random_bandlimited":
-        seed = int(parts[1]) if len(parts) > 1 else 0
-        band = float(parts[2]) if len(parts) > 2 else 8.0
-        return _random_bandlimited(spec, seed, band)
-    if name == "fractional":
-        gamma = float(parts[1]) if len(parts) > 1 else 1.5
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return _fractional(spec, gamma, seed)
-    raise ValueError(f"unknown signal id {signal_id!r}")
+    return _parse_spec("signal", signal_id, _SIGNALS, spec)

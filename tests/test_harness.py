@@ -1,5 +1,7 @@
 """Experiment harness and command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmeans import (
     ConvergenceReport,
@@ -177,6 +181,18 @@ class TestConvergenceDistribution:
         assert errs[-1] < errs[0]
         assert report.extra["pairing_errors"][0] is not None
 
+    def test_no_atoms_is_the_cli_default_delta(self, capsys):
+        argv = ["converge-dist", "--grid", "2,16", "--steps", "3", "--alpha", "1.5"]
+        assert cli_main(argv) == 0
+        config = ExperimentConfig(dimension=2, points_per_axis=16, steps=3, alpha=1.5)
+        report = run_convergence_distribution(config)
+        assert capsys.readouterr().out == report_to_json(report) + "\n"
+        delta = ExperimentConfig(
+            dimension=2, points_per_axis=16, steps=3, alpha=1.5,
+            atoms=[{"x": [0.0, 0.0], "alpha": [0, 0], "c": [1.0, 0.0]}],
+        )
+        assert report == run_convergence_distribution(delta)
+
 
 class TestEquivalence:
     def test_brackets_bounded_and_stable(self):
@@ -280,6 +296,11 @@ class TestCLI:
         assert payload["space"].startswith("besov_modulus")
         assert payload["value"] > 0
 
+    def test_norm_via_on_besov_lp(self, capsys):
+        argv = ["norm", "--grid", "32", "--signal", "bump", "--space", "besov_lp:0.5:2:2", "--via", "modulus"]
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["space"].startswith("besov_modulus:")
+
     def test_apply_command(self, capsys):
         rc = cli_main(["apply", "--grid", "32", "--signal", "bump", "--t", "0.01"])
         assert rc == 0
@@ -313,6 +334,14 @@ class TestCLI:
             (["converge", "--mean", "riesz:nan"], "mean"),
             (["converge", "--symbol", "abs:2:3"], "symbol"),
             (["converge", "--space", "lp:nan"], "space"),
+            (["converge", "--signal", "bump:7"], "signal"),
+            (["converge", "--signal", "random_bandlimited:1:2:3"], "signal"),
+            (["converge", "--signal", "random_bandlimited:1.5"], "signal"),
+            (["converge", "--signal", "fractional:abc"], "signal"),
+            (["converge", "--grid", "2,32,6,99"], "grid"),
+            (["converge", "--grid", "abc"], "grid"),
+            (["converge", "--grid", "2,"], "grid"),
+            (["norm", "--space", "liouville:0.5:2", "--via", "modulus"], "via"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
@@ -341,3 +370,88 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
+
+
+_JUNK = ("nan", "abc", "1.5", "")
+
+
+@st.composite
+def _mutated(draw, valid, sep):
+    """One of the valid spec strings, as it is or with a field dropped,
+    added or corrupted."""
+    parts = draw(st.sampled_from(valid)).split(sep)
+    index = draw(st.integers(0, len(parts) - 1))
+    how = draw(st.sampled_from(("keep", "drop", "add", "corrupt")))
+    if how == "drop":
+        del parts[index]
+    elif how == "add":
+        parts.append(draw(st.sampled_from(_JUNK + ("2",))))
+    elif how == "corrupt":
+        parts[index] = draw(st.sampled_from(_JUNK))
+    return sep.join(parts)
+
+
+# flag -> values; sizes stay small: at most 3 steps, n <= 16 and, for the
+# 3-D grid, n = 8
+_FUZZ_FLAGS = {
+    "--t0": st.sampled_from(("0.1", "1e-3", "-1", "nan", "abc")),
+    "--ratio": st.sampled_from(("0.3", "0.5", "1.5", "0")),
+    "--steps": st.sampled_from(("1", "3", "0", "1.5")),
+    "--alpha": st.sampled_from(("0.5", "1.5", "-1", "nan")),
+    "--beta": st.sampled_from(("1.5", "0", "inf")),
+    "--p": st.sampled_from(("2", "1", "3", "inf", "0.5", "nan")),
+    "--q": st.sampled_from(("2", "1", "inf")),
+    "--p0": st.sampled_from(("2", "4", "nan")),
+    "--l": st.sampled_from(("0", "1", "3", "-1")),
+    "--N": st.sampled_from(("1", "2", "0", "abc")),
+    "--m": st.sampled_from(("2", "4", "0.5", "nan")),
+    "--mean": _mutated(("gaussian", "riesz:2", "riesz:0", "cutoff:1"), ":"),
+    "--symbol": _mutated(("abs:2", "quartic"), ":"),
+    "--signal": _mutated(("bump", "truncated_cone", "random_bandlimited:1:6", "fractional:1.5:2"), ":"),
+    "--space": _mutated(
+        ("liouville:0.5:2", "besov:0.5:2:2", "lp:2", "nikolskii:0.7:2", "sobolev:1:2",
+         "slobodetskii:0.5:2", "besov_modulus:0.5:2:2", "classical_besov:0.5:2:2"),
+        ":",
+    ),
+    "--theorem": st.sampled_from(("T1", "T2", "T3")),
+    "--seed": st.sampled_from(("0", "7", "-1")),
+    "--format": st.sampled_from(("csv", "json", "xml")),
+}
+_FUZZ_COMMANDS = {
+    "converge": {},
+    "converge-dist": {},
+    "conditions": {},
+    "norm": {"--via": st.sampled_from(("lp", "modulus", "classical"))},
+    "apply": {"--t": st.sampled_from(("0.01", "1", "nan"))},
+    "equivalence": {},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    # equivalence doubles the grid and runs every difference route
+    grids = ("8", "1,8") if command == "equivalence" else ("8", "16", "2,8", "2,16", "3,8", "1,16,6")
+    argv = [command, "--grid", draw(_mutated(grids, ","))]
+    flags = {**_FUZZ_FLAGS, **_FUZZ_COMMANDS[command]}
+    if command == "equivalence":
+        del flags["--N"]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+class TestCLIFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_argv())
+    # a zero signal, and a seed beyond int64
+    @example(argv=["converge", "--grid", "16", "--signal", "random_bandlimited:1:nan"])
+    @example(argv=["converge", "--grid", "16", "--signal", "fractional:1.5:99999999999999999999"])
+    def test_exit_code_without_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli_main(argv)
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith(("error: ", "usage: "))
