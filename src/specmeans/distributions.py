@@ -8,7 +8,6 @@ defect is pure roundoff and is checked as such.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,10 +19,10 @@ from .grid import (
     SpectrumFunction,
     forward_transform,
     inverse_transform,
-    lp_norm,
     pair,
 )
-from .multipliers import bessel_plan, spectral_mean, spectral_mean_plan
+from .multipliers import bessel_plan, spectral_mean_plan
+from .spaces import NormSpec, localized_norm
 from .symbols import HomogeneousSymbol, MeanFunction
 
 __all__ = [
@@ -76,21 +75,6 @@ class CompactDistribution:
             ):
                 raise ValueError("density grid mismatch")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "atoms": [
-                    {
-                        "x": [float(v) for v in np.atleast_1d(a.location)],
-                        "alpha": list(a.alpha),
-                        "c": [float(complex(a.weight).real), float(complex(a.weight).imag)],
-                    }
-                    for a in self.atoms
-                ],
-                "density_ref": None if self.density is None else "inline",
-            }
-        )
-
 
 def _atom_mode_weights(spec: GridSpec, x0, alpha, sign: int) -> np.ndarray:
     """Product over axes of (i y)^alpha_d exp(sign * i x0_d y_d).
@@ -130,18 +114,20 @@ def _eval_at_point(F: SpectrumFunction, x0, alpha=None) -> complex:
 def pair_distribution(f: CompactDistribution, phi: GridFunction) -> complex:
     """<f, phi> = sum_j c_j (-1)^{|alpha_j|} (D^alpha phi)(x_j) + int density*phi."""
     f.validate(phi.spec)
-    total = _pair_atoms(f, forward_transform(phi))
-    if f.density is not None:
-        total += pair(f.density, phi)
-    return total
+    return _pair_spectrum(f, forward_transform(phi), phi)
 
 
-def _pair_atoms(f: CompactDistribution, Phi: SpectrumFunction) -> complex:
-    """The atoms' part of <f, phi>, from the spectrum Phi of phi."""
+def _pair_spectrum(
+    f: CompactDistribution, Phi: SpectrumFunction, phi: GridFunction | None = None
+) -> complex:
+    """<f, phi> for the probe phi with spectrum Phi; the density term
+    uses the samples phi when given, inverse_transform(Phi) otherwise."""
     total = 0.0 + 0.0j
     for a in f.atoms:
         sgn = (-1.0) ** sum(a.alpha)
         total += complex(a.weight) * sgn * _eval_at_point(Phi, a.location, a.alpha)
+    if f.density is not None:
+        total += pair(f.density, inverse_transform(Phi) if phi is None else phi)
     return total
 
 
@@ -204,9 +190,22 @@ def verify_duality(
 ) -> float:
     """|<p(tA)f, phi> - <f, p(tA)phi>|; both routes are the same diagonal
     product, so the defect is roundoff plus interpolation only."""
-    lhs = pair(mean_of_distribution(p, t, sigma, f, phi.spec), phi)
-    rhs = pair_distribution(f, spectral_mean(p, t, sigma, phi))
-    return abs(lhs - rhs)
+    P = spectral_mean_plan(p, t, sigma, phi.spec).values
+    F = spectrum_of_distribution(f, phi.spec)
+    return _duality_defect(P, F, f, phi, forward_transform(phi))
+
+
+def _duality_defect(
+    P: np.ndarray,
+    F: SpectrumFunction,
+    f: CompactDistribution,
+    phi: GridFunction,
+    Phi: SpectrumFunction,
+) -> float:
+    """|<p(tA)f, phi> - <f, p(tA)phi>| for the multiplier P = p(t sigma),
+    given the spectra F of f and Phi of phi."""
+    lhs = pair(inverse_transform(SpectrumFunction(F.spec, P * F.coefficients)), phi)
+    return abs(lhs - _pair_spectrum(f, SpectrumFunction(Phi.spec, P * Phi.coefficients)))
 
 
 def negative_liouville_norm(
@@ -222,13 +221,7 @@ def negative_liouville_norm(
         raise ValueError("alpha must be >= 0 (the order used is -alpha)")
     F = spectrum_of_distribution(f, spec)
     G = SpectrumFunction(spec, bessel_plan(-alpha, spec).values * F.coefficients)
-    return _windowed_lp_norm(G, p, window)
-
-
-def _windowed_lp_norm(G: SpectrumFunction, p: float, window: GridFunction | None) -> float:
-    """L_p norm of the grid function with spectrum G, times the window if
-    one is given; without one, by Parseval at p = 2."""
-    return lp_norm(G if window is None else inverse_transform(G) * window, p)
+    return localized_norm(G, window, NormSpec("lp", p=p))
 
 
 def classify_membership(
@@ -270,20 +263,14 @@ def distribution_convergence(
     fixed probe when one is supplied."""
     F = spectrum_of_distribution(f, spec)
     bessel = bessel_plan(-alpha, spec).values
-    probe_coeffs = None if probe is None else forward_transform(probe).coefficients
+    Phi = None if probe is None else forward_transform(probe)
     records = []
     for t in t_list:
-        plan = spectral_mean_plan(p, t, sigma, spec)
-        g = SpectrumFunction(spec, bessel * ((plan.values - 1.0) * F.coefficients))
-        err = _windowed_lp_norm(g, p_exp, window)
+        P = spectral_mean_plan(p, t, sigma, spec).values
+        g = SpectrumFunction(spec, bessel * ((P - 1.0) * F.coefficients))
+        err = localized_norm(g, window, NormSpec("lp", p=p_exp))
         rec = {"t": float(t), "error": float(err)}
         if probe is not None:
-            # duality defect |<p(tA)f, phi> - <f, p(tA)phi>|
-            lhs = pair(inverse_transform(SpectrumFunction(spec, plan.values * F.coefficients)), probe)
-            mean_probe = SpectrumFunction(spec, plan.values * probe_coeffs)
-            rhs = _pair_atoms(f, mean_probe)
-            if f.density is not None:
-                rhs += pair(f.density, inverse_transform(mean_probe))
-            rec["pairing_error"] = abs(lhs - rhs)
+            rec["pairing_error"] = _duality_defect(P, F, f, probe, Phi)
         records.append(rec)
     return records

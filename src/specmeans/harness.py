@@ -18,6 +18,7 @@ from .grid import GridFunction, GridSpec, SpectrumFunction, _parse_spec, forward
 from .multipliers import spectral_derivative, spectral_mean_plan
 from .signals import make_signal
 from .spaces import (
+    _NORM_FIELDS,
     NormSpec,
     build_partition,
     besov_norm_lp,
@@ -57,13 +58,10 @@ __all__ = [
 ]
 
 
-_SP, _SPQ = {"s": None, "p": None}, {"s": None, "p": None, "q": None}
+# spec-string name -> (constructor, fields); 'besov' names the LP route
 _NORMS = {
-    name: (partial(NormSpec, "besov_lp" if name == "besov" else name), fields)
-    for name, fields in dict(
-        lp={"p": 2.0}, liouville=_SP, sobolev=_SP, nikolskii=_SP, slobodetskii=_SP,
-        besov=_SPQ, besov_lp=_SPQ, besov_modulus=_SPQ, classical_besov=_SPQ,
-    ).items()
+    name: (partial(NormSpec, kind), _NORM_FIELDS[kind])
+    for name, kind in dict(zip(_NORM_FIELDS, _NORM_FIELDS), besov="besov_lp").items()
 }
 
 
@@ -137,6 +135,8 @@ class ExperimentConfig:
             exponent = f.name in ("p", "p0", "q") and value == math.inf
             if kind == "float" and not (math.isfinite(value) or exponent):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.theorem not in ("T1", "T2"):
+            raise ValueError(f"theorem must be 'T1' or 'T2', got {self.theorem!r}")
         if not (0 < self.ratio < 1) or self.t0 <= 0 or self.steps < 1:
             raise ValueError("t schedule must be strictly decreasing and positive")
         if self.window_radius is not None:

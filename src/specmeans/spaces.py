@@ -3,8 +3,8 @@
 Implements the norm routes used by the convergence experiments:
 Liouville (Bessel-weighted L_p), Littlewood-Paley Besov, the
 modulus-of-continuity Besov equivalent, classical Besov with second
-differences, Sobolev, Slobodetskii (1-D), Nikolskii, and smooth-cutoff
-localized versions of all of them.
+differences, Sobolev, Slobodetskii (1-D), Nikolskii (the classical
+route at q = inf), and smooth-cutoff localized versions of all of them.
 """
 
 from __future__ import annotations
@@ -343,15 +343,19 @@ def _difference_h_set(spec: GridSpec) -> tuple:
 
 def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
     """Sobolev part of order [s]^- plus the second-difference seminorm
-    integral over lattice steps |h| <= L/4."""
+    over lattice steps |h| <= L/4: the L_q(dh/|h|) integral, at q = inf
+    the sup of |h|^{-frac} times the difference norm."""
     k, frac = _split_order(params.s)
-    if params.p == np.inf or params.q == np.inf:
-        raise ValueError("classical route needs finite p and q")
+    if params.p == np.inf and params.q != np.inf:
+        raise ValueError("classical route needs finite p unless q = inf")
     total = sobolev_norm(f, k, params.p)
     steps, mags, w = _difference_h_set(f.spec)
     for alpha in _multi_indices(f.spec.dimension, k):
         g = spectral_derivative(f, alpha) if k else f
         vals = difference_norms(g, steps, 2, params.p).tolist()
+        if params.q == np.inf:
+            total += max((mag ** (-frac) * val for mag, val in zip(mags, vals)), default=0.0)
+            continue
         # group nodes by magnitude for the radial log-trapezoid
         by_mag = {}
         for mag, val in zip(mags, vals):
@@ -363,16 +367,8 @@ def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
 
 
 def nikolskii_norm(f: GridFunction, s: float, p: float) -> float:
-    """q = inf Besov route: Sobolev part plus the sup over steps of
-    |h|^{-frac} times the second-difference norm."""
-    k, frac = _split_order(s)
-    total = sobolev_norm(f, k, p)
-    steps, mags, _ = _difference_h_set(f.spec)
-    for alpha in _multi_indices(f.spec.dimension, k):
-        g = spectral_derivative(f, alpha) if k else f
-        vals = difference_norms(g, steps, 2, p).tolist()
-        total += max((mag ** (-frac) * val for mag, val in zip(mags, vals)), default=0.0)
-    return total
+    """The classical Besov route at q = inf."""
+    return classical_besov_norm(f, BesovParams(s, p, np.inf))
 
 
 def slobodetskii_norm(f: GridFunction, s: float, p: float) -> float:
@@ -410,12 +406,20 @@ def smooth_window(
     return GridFunction(spec, smooth_step(r, radius, outer))
 
 
+# norm kind -> the fields its spec string takes and its label shows, with
+# their defaults (None: required)
+_SP, _SPQ = {"s": None, "p": None}, {"s": None, "p": None, "q": None}
+_NORM_FIELDS = {
+    "lp": {"p": 2.0}, "liouville": _SP, "besov_lp": _SPQ, "besov_modulus": _SPQ,
+    "classical_besov": _SPQ, "sobolev": _SP, "nikolskii": _SP, "slobodetskii": _SP,
+}
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Designator for one of the norm routes."""
 
-    kind: str  # lp | liouville | besov_lp | besov_modulus | classical_besov
-    #            | sobolev | nikolskii | slobodetskii
+    kind: str  # a key of _NORM_FIELDS
     p: float = 2.0
     s: float = 0.0
     q: float = 2.0
@@ -427,13 +431,8 @@ class NormSpec:
             raise ValueError(f"{self.kind} fields must be numbers")
 
     def label(self) -> str:
-        if self.kind == "lp":
-            return f"L{self.p:g}"
-        if self.kind == "liouville":
-            return f"liouville:{self.s:g}:{self.p:g}"
-        if self.kind in ("besov_lp", "besov_modulus", "classical_besov"):
-            return f"{self.kind}:{self.s:g}:{self.p:g}:{self.q:g}"
-        return f"{self.kind}:{self.s:g}:{self.p:g}"
+        values = ":".join(f"{getattr(self, name):g}" for name in _NORM_FIELDS[self.kind])
+        return f"L{values}" if self.kind == "lp" else f"{self.kind}:{values}"
 
 
 def evaluate_norm(

@@ -246,3 +246,20 @@ class TestConvergence:
         assert recs[1]["pairing_error"] < recs[0]["pairing_error"] + 1e-12
         # the duality defect <p(tA)f, phi> - <f, p(tA)phi> is roundoff
         assert all(r["pairing_error"] <= 1e-9 for r in recs)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("with_density", [False, True])
+    def test_pairing_error_is_verify_duality(self, dimension, with_density):
+        spec = GridSpec(dimension, 32)
+        probe = smooth_probe(spec, seed=9)
+        atoms = (
+            PointAtom((0.3, -0.2)[:dimension], (1, 0)[:dimension], 0.5 + 0.2j),
+            PointAtom((-0.7,) * dimension, (0,) * dimension, 1.0),
+        )
+        density = make_signal("bump", spec) if with_density else None
+        f = CompactDistribution(atoms, density)
+        p, sigma, ts = make_gaussian_mean(), power_symbol(2.0), [1e-1, 1e-2, 1e-3]
+        recs = distribution_convergence(p, ts, sigma, f, 0.75, 2, spec, None, probe=probe)
+        assert [r["pairing_error"] for r in recs] == [
+            verify_duality(p, t, sigma, f, probe) for t in ts
+        ]

@@ -6,6 +6,8 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from specmeans import (
     run_convergence_function,
     run_equivalence,
 )
-from specmeans import harness, spaces
+from specmeans import cli, harness, spaces
 from specmeans.cli import main as cli_main
 from specmeans.harness import (
     CSV_HEADER,
@@ -342,6 +344,7 @@ class TestCLI:
             (["converge", "--grid", "abc"], "grid"),
             (["converge", "--grid", "2,"], "grid"),
             (["norm", "--space", "liouville:0.5:2", "--via", "modulus"], "via"),
+            (["converge", "--theorem", "T3"], "theorem"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
@@ -353,6 +356,14 @@ class TestCLI:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    def test_theorem_rejected_before_the_sweep(self, monkeypatch, capsys):
+        def sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_convergence_function", sweep)
+        assert cli_main(["converge", "--theorem", "T3"]) == 2
+        assert "theorem" in capsys.readouterr().err
 
     def test_converge_dist_defaults_to_delta(self, capsys):
         rc = cli_main(
@@ -455,3 +466,73 @@ class TestCLIFuzz:
         assert "Traceback" not in err.getvalue()
         if rc == 2:
             assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+# ExperimentConfig field -> valid values; grids stay at N <= 2, n in {8, 16},
+# at most 3 steps and 25 corpus members
+_CONFIG_VALID = {
+    "dimension": st.sampled_from((1, 2)),
+    "points_per_axis": st.sampled_from((8, 16)),
+    "period": st.sampled_from((2.0 * math.pi, 4.0)),
+    "symbol": st.sampled_from(("abs:2", "abs:1", "quartic")),
+    "mean": st.sampled_from(("gaussian", "riesz:2", "riesz:0", "cutoff:1")),
+    "space": st.sampled_from(("liouville:0.5:2", "besov:0.5:2:2", "lp:2", "nikolskii:0.7:2",
+                              "classical_besov:0.5:2:inf", "besov_modulus:0.5:2:2")),
+    "t0": st.sampled_from((0.1, 1e-3)),
+    "ratio": st.sampled_from((0.3, 0.5)),
+    "steps": st.integers(1, 3),
+    "signal": st.sampled_from(("bump", "random_bandlimited:1:3", "fractional:1.5:2")),
+    "window_radius": st.sampled_from((None, 1.0, 2.0)),
+    "theorem": st.sampled_from(("T1", "T2")),
+    "alpha": st.sampled_from((0.5, 1.5)),
+    "beta": st.sampled_from((1.5, 2.5)),
+    "p": st.sampled_from((1.0, 2.0, 3.0, math.inf)),
+    "p0": st.sampled_from((2.0, 4.0)),
+    "q": st.sampled_from((1.0, 2.0, math.inf)),
+    "alpha0": st.sampled_from((None, 0.6)),
+    "l": st.sampled_from((0, 1, 3)),
+    "tau": st.sampled_from((0.5, 1.0, 3.0)),
+    "seed": st.sampled_from((0, 7)),
+    "corpus_size": st.sampled_from((20, 25)),
+    "band": st.sampled_from((2.0, 4.0)),
+    "atoms": st.sampled_from(([], [{"x": [0.3], "alpha": [1], "c": [0.5, 0.2]}])),
+    "density_signal": st.sampled_from((None, "bump")),
+    "out": st.just(None),
+    "format": st.sampled_from(("json", "csv")),
+}
+# of the wrong type, not finite, bool or null; strings would be paths for `out`
+_CONFIG_JUNK = st.sampled_from((1, 0, -1, 1.5, math.nan, math.inf, -math.inf, True, False, None, [], {}))
+_CONFIG_JUNK_TEXT = st.sampled_from(("3", "abc", ""))
+_CONFIG_SMALL = {"points_per_axis": 8, "steps": 2, "corpus_size": 20}
+
+
+@st.composite
+def _config_dict(draw):
+    """A small valid config with a few fields set to valid values or junk."""
+    data = dict(_CONFIG_SMALL)
+    for name in draw(st.lists(st.sampled_from(sorted(_CONFIG_VALID)), max_size=5, unique=True)):
+        junk = _CONFIG_JUNK if name == "out" else st.one_of(_CONFIG_JUNK, _CONFIG_JUNK_TEXT)
+        data[name] = draw(st.one_of(_CONFIG_VALID[name], junk))
+    return data
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(("converge", "converge-dist", "conditions", "norm", "apply", "equivalence")),
+        data=_config_dict(),
+    )
+    def test_exit_code_without_traceback(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(data))
+            argv = [command, "--config", str(path)]
+            if command == "equivalence":
+                argv += ["--grid", "1,8"]  # it doubles the grid and runs every difference route
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli_main(argv)
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")

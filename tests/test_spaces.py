@@ -435,6 +435,7 @@ class TestDifferenceKernel:
             f, s, p, 2.0, m
         )
         assert nikolskii_norm(f, 0.7, p) == reference_nikolskii(f, 0.7, p)
+        assert classical_besov_norm(f, BesovParams(0.7, p, np.inf)) == nikolskii_norm(f, 0.7, p)
         if p != np.inf:
             assert classical_besov_norm(f, BesovParams(0.7, p, 2.0)) == reference_classical(
                 f, 0.7, p, 2.0
