@@ -14,9 +14,6 @@ from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
-    parse_mean,
-    parse_norm_spec,
-    parse_symbol,
     report_to_csv,
     report_to_json,
     run_conditions,
@@ -25,7 +22,6 @@ from .harness import (
     run_equivalence,
 )
 from .multipliers import spectral_mean
-from .signals import make_signal
 from .spaces import evaluate_norm
 
 
@@ -69,14 +65,7 @@ _FLAGS = {
     "format": (str, "format"),
 }
 _FLAG_OPTIONS = {"grid": {"help": "n or N,n[,L]"}, "format": {"choices": ("csv", "json")}}
-_COMMANDS = {
-    "converge": "converge_function",
-    "converge-dist": "converge_distribution",
-    "equivalence": "equivalence",
-    "conditions": "conditions",
-    "norm": "norm",
-    "apply": "apply",
-}
+_COMMANDS = ("converge", "converge-dist", "equivalence", "conditions", "norm", "apply")
 # --via -> the Besov route it selects
 _VIA = {"lp": "besov_lp", "modulus": "besov_modulus", "classical": "classical_besov"}
 
@@ -97,13 +86,14 @@ def _build_parser():
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    """The config of the --config file's fields and the flags, which
+    override them, built once."""
     changes = {}
     for flag, (_, target) in sorted(_FLAGS.items(), key=lambda item: callable(item[1][1])):
         value = getattr(args, flag)
         if value is not None:
             changes.update(target(value) if callable(target) else {target: value})
-    return replace(config, kind=_COMMANDS[args.command], **changes)
+    return ExperimentConfig.from_json(args.config, **changes) if args.config else ExperimentConfig(**changes)
 
 
 def _run(args, config: ExperimentConfig) -> tuple:
@@ -118,17 +108,18 @@ def _run(args, config: ExperimentConfig) -> tuple:
         return json.dumps(run_equivalence(config), indent=2), 0
     if args.command == "conditions":
         return run_conditions(config), 0
-    f = make_signal(config.signal, config.grid)
+    f = config.signal_function
     if args.command == "apply":
-        result = spectral_mean(parse_mean(config.mean), args.t, parse_symbol(config.symbol), f)
-        return result.to_json(), 0
-    norm_spec = parse_norm_spec(config.space)
+        return spectral_mean(config.mean_function, args.t, config.sigma, f).to_json(), 0
+    norm_spec = config.norm_spec
     if args.via != "lp":
         if norm_spec.kind not in _VIA.values():
             raise ValueError(f"via {args.via!r} needs a Besov space, got {config.space!r}")
         norm_spec = replace(norm_spec, kind=_VIA[args.via])
+    # the route that ran; "lp" for a space with a single route
+    via = {kind: name for name, kind in _VIA.items()}.get(norm_spec.kind, "lp")
     value = evaluate_norm(f, norm_spec)
-    payload = {"signal": config.signal, "space": norm_spec.label(), "via": args.via, "value": value}
+    payload = {"signal": config.signal, "space": norm_spec.label(), "via": via, "value": value}
     return json.dumps(payload, indent=2), 0
 
 
@@ -149,7 +140,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         text, code = _run(args, config)
         _emit(text, config.out)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return code

@@ -56,16 +56,16 @@ class CompactDistribution:
     def validate(self, spec: GridSpec) -> None:
         margin = spec.period / 8.0
         bound = spec.period / 2.0 - margin
-        for a in self.atoms:
+        for i, a in enumerate(self.atoms):
             loc = np.atleast_1d(np.asarray(a.location, dtype=float))
             if loc.size != spec.dimension:
-                raise ValueError("atom location dimension mismatch")
+                raise ValueError(f"atoms[{i}] location dimension mismatch")
             if np.max(np.abs(loc)) > bound + 1e-12:
                 raise ValueError(
-                    f"atom at {tuple(loc)} violates the L/8 support margin"
+                    f"atoms[{i}] at {tuple(loc.tolist())} violates the L/8 support margin"
                 )
             if sum(a.alpha) > MAX_ATOM_ORDER:
-                raise ValueError(f"atom derivative order exceeds {MAX_ATOM_ORDER}")
+                raise ValueError(f"atoms[{i}].alpha: derivative order exceeds {MAX_ATOM_ORDER}")
         if self.density is not None:
             dspec = self.density.spec
             if (

@@ -91,9 +91,42 @@ def parse_norm_spec(text: str) -> NormSpec:
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list": list}
 
 
-@dataclass
+def _numbers(name: str, value, size: int, whole: bool = False) -> list:
+    """value, when it is a list of `size` finite numbers, whole and >= 0
+    if `whole`."""
+    kind, what = (numbers.Integral, "whole numbers >= 0") if whole else (numbers.Real, "numbers")
+    if not (isinstance(value, list) and len(value) == size and all(
+        isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v) and not (whole and v < 0)
+        for v in value
+    )):
+        raise ValueError(f"{name} must be a list of {size} finite {what}, got {value!r}")
+    return value
+
+
+def _atom(i: int, entry, dimension: int) -> PointAtom:
+    """The point atom an `atoms` entry {"x": [...], "alpha": [...], "c": [re, im]}
+    names: by default a unit mass at the origin."""
+    name = f"atoms[{i}]"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{name} must be an object with keys x, alpha, c, got {entry!r}")
+    unknown = sorted(set(entry) - {"x", "alpha", "c"})
+    if unknown:
+        raise ValueError(f"{name}: unknown key(s) {', '.join(unknown)}")
+    x = _numbers(f"{name}.x", entry.get("x", [0.0] * dimension), dimension)
+    alpha = _numbers(f"{name}.alpha", entry.get("alpha", [0] * dimension), dimension, whole=True)
+    c = _numbers(f"{name}.c", entry.get("c", [1.0, 0.0]), 2)
+    return PointAtom(tuple(float(v) for v in x), tuple(int(v) for v in alpha), complex(*c))
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str = "converge_function"
+    """One experiment's settings.  Every spec string is parsed once, when
+    the config is built, into these attributes: `grid`, `sigma` (from
+    `symbol`), `mean_function`, `norm_spec` (from `space`),
+    `signal_function`, `window` (None without a `window_radius`) and
+    `distribution` (the atoms and density; a unit point mass at the
+    origin when it names neither)."""
+
     dimension: int = 1
     points_per_axis: int = 64
     period: float = 2.0 * math.pi
@@ -145,21 +178,31 @@ class ExperimentConfig:
                 raise ValueError(
                     f"window radius must lie in (0, {limit:g}) for this period"
                 )
-        if parse_symbol(self.symbol).dimension not in (None, self.dimension):
+        # the frozen dataclass takes its derived attributes through object
+        derive = partial(object.__setattr__, self)
+        derive("grid", GridSpec(self.dimension, self.points_per_axis, self.period))
+        derive("sigma", parse_symbol(self.symbol))
+        if self.sigma.dimension not in (None, self.dimension):
             raise ValueError(f"symbol {self.symbol!r} is not defined for N = {self.dimension}")
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.dimension, self.points_per_axis, self.period)
+        derive("mean_function", parse_mean(self.mean))
+        derive("norm_spec", parse_norm_spec(self.space))
+        derive("signal_function", make_signal(self.signal, self.grid))
+        window = None if self.window_radius is None else smooth_window(self.grid, self.window_radius)
+        derive("window", window)
+        atoms = tuple(_atom(i, a, self.dimension) for i, a in enumerate(self.atoms))
+        density = None if self.density_signal is None else make_signal(self.density_signal, self.grid)
+        if not atoms and density is None:
+            atoms = (PointAtom((0.0,) * self.dimension, (0,) * self.dimension, 1.0 + 0.0j),)
+        derive("distribution", CompactDistribution(atoms, density))
+        self.distribution.validate(self.grid)
 
     def t_schedule(self) -> list:
         return [self.t0 * self.ratio**k for k in range(self.steps)]
 
     def theorem_parameters(self) -> TheoremParameters:
-        sigma = parse_symbol(self.symbol)
         return TheoremParameters(
             N=self.dimension,
-            m=sigma.degree,
+            m=self.sigma.degree,
             p=self.p,
             p0=self.p0,
             alpha=self.alpha,
@@ -170,40 +213,17 @@ class ExperimentConfig:
             tau=self.tau,
         )
 
-    def window(self) -> Optional[GridFunction]:
-        if self.window_radius is None:
-            return None
-        return smooth_window(self.grid, self.window_radius)
-
-    def distribution(self) -> CompactDistribution:
-        """The atoms and density of the config; a unit point mass at the
-        origin when it names neither."""
-        atoms = tuple(
-            PointAtom(
-                tuple(float(v) for v in np.atleast_1d(a.get("x", [0.0]))),
-                tuple(int(v) for v in a.get("alpha", [0] * self.dimension)),
-                complex(a.get("c", [1.0, 0.0])[0], a.get("c", [1.0, 0.0])[1]),
-            )
-            for a in self.atoms
-        )
-        if not atoms and not self.density_signal:
-            atoms = (PointAtom((0.0,) * self.dimension, (0,) * self.dimension, 1.0 + 0.0j),)
-        density = (
-            make_signal(self.density_signal, self.grid)
-            if self.density_signal
-            else None
-        )
-        return CompactDistribution(atoms, density)
-
     @staticmethod
-    def from_json(path) -> "ExperimentConfig":
+    def from_json(path, **changes) -> "ExperimentConfig":
+        """The config of a JSON object's fields, with `changes` overriding
+        them; built, and so checked, once."""
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"config {path}: expected a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
         if unknown:
             raise ValueError(f"config {path}: unknown key(s) {', '.join(unknown)}")
-        return ExperimentConfig(**data)
+        return ExperimentConfig(**{**data, **changes})
 
 
 @dataclass
@@ -245,51 +265,41 @@ def _band_truncation_error(
 
 
 def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
-    spec = config.grid
-    sigma = parse_symbol(config.symbol)
-    mean = parse_mean(config.mean)
-    u = make_signal(config.signal, spec)
-    window = config.window()
-    norm_spec = parse_norm_spec(config.space)
+    spec, window, norm_spec = config.grid, config.window, config.norm_spec
 
     # u is transformed once; p(tA)u and p(tA)u - u are formed as spectra
-    U = forward_transform(u)
+    U = forward_transform(config.signal_function)
     partition = build_partition(spec) if norm_spec.kind == "besov_lp" else None
     u_norm = localized_norm(U, window, norm_spec, partition)
     band_err = _band_truncation_error(U, norm_spec, window, partition)
     records, ratios = [], []
     for t in config.t_schedule():
-        P = spectral_mean_plan(mean, t, sigma, spec).values
+        P = spectral_mean_plan(config.mean_function, t, config.sigma, spec).values
         v = SpectrumFunction(spec, P * U.coefficients)
         ratios.append(localized_norm(v, window, norm_spec, partition) / u_norm)
         v = SpectrumFunction(spec, (P - 1.0) * U.coefficients)
         records.append({"t": t, "error": localized_norm(v, window, norm_spec, partition)})
     return _sweep_report(
-        config, mean, records, norm_spec.label(), norm_spec.kind, band_err,
+        config, records, norm_spec.label(), norm_spec.kind, band_err,
         boundedness_ratio=max(ratios),
     )
 
 
 def run_convergence_distribution(config: ExperimentConfig) -> ConvergenceReport:
-    spec = config.grid
-    sigma = parse_symbol(config.symbol)
-    mean = parse_mean(config.mean)
-    f = config.distribution()
-    window = config.window()
-    probe = make_signal("bump", spec)
     records = distribution_convergence(
-        mean, config.t_schedule(), sigma, f, config.alpha, config.p, spec, window, probe
+        config.mean_function, config.t_schedule(), config.sigma, config.distribution,
+        config.alpha, config.p, config.grid, config.window, make_signal("bump", config.grid),
     )
     return _sweep_report(
-        config, mean, records, f"liouville:{-config.alpha:g}:{config.p:g}",
+        config, records, f"liouville:{-config.alpha:g}:{config.p:g}",
         "negative_liouville", 0.0,
         extra={"pairing_errors": [r.get("pairing_error") for r in records]},
     )
 
 
 def _sweep_report(
-    config: ExperimentConfig, mean: MeanFunction, records: list, space: str,
-    norm_route: str, band_err: float, **report_fields,
+    config: ExperimentConfig, records: list, space: str, norm_route: str, band_err: float,
+    **report_fields,
 ) -> ConvergenceReport:
     """Report of a sweep whose records hold t and error: the floor is
     validated against band truncation and roundoff, the slope is fitted
@@ -302,7 +312,7 @@ def _sweep_report(
     floor_validated = errs[-1] <= 2.0 * noise
     floor = errs[-1] if floor_validated else noise
     report = assemble_hypothesis_report(
-        config.theorem, config.theorem_parameters(), mean
+        config.theorem, config.theorem_parameters(), config.mean_function
     )
     return ConvergenceReport(
         records=records,
@@ -346,7 +356,7 @@ def run_equivalence(config: ExperimentConfig) -> dict:
         raise ValueError("corpus size must be >= 20")
     spec = config.grid
     s, pp, qq = 0.7, 2.0, 2.0
-    norm_spec = parse_norm_spec(config.space)
+    norm_spec = config.norm_spec
     if norm_spec.kind in ("besov_lp", "besov_modulus"):
         s, pp, qq = norm_spec.s, norm_spec.p, norm_spec.q
 
@@ -402,9 +412,8 @@ def run_equivalence(config: ExperimentConfig) -> dict:
 
 
 def run_conditions(config: ExperimentConfig) -> str:
-    mean = parse_mean(config.mean)
     report = assemble_hypothesis_report(
-        config.theorem, config.theorem_parameters(), mean
+        config.theorem, config.theorem_parameters(), config.mean_function
     )
     return report.to_json()
 

@@ -423,8 +423,6 @@ class NormSpec:
     p: float = 2.0
     s: float = 0.0
     q: float = 2.0
-    m: int = 2
-    n1: int = 0
 
     def __post_init__(self):
         if any(math.isnan(v) for v in (self.p, self.s, self.q)):
@@ -456,9 +454,7 @@ def evaluate_norm(
         return besov_norm_lp(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), partition)
     f = _samples(f)
     if kind == "besov_modulus":
-        return besov_norm_modulus(
-            f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), norm_spec.m, norm_spec.n1
-        )
+        return besov_norm_modulus(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), m=2, n1=0)
     if kind == "classical_besov":
         return classical_besov_norm(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q))
     if kind == "sobolev":

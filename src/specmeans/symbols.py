@@ -417,7 +417,7 @@ class TheoremParameters:
     def eps(self) -> float:
         return self.N * (1.0 / self.p - 1.0 / self.p0)
 
-    def resolved_alpha0(self, theorem_id: str) -> float:
+    def resolved_alpha0(self) -> float:
         if self.alpha0 is not None:
             return self.alpha0
         return self.N / self.p0
@@ -465,7 +465,7 @@ class HypothesisReport:
                     "p": self.parameters.p,
                     "p0": self.parameters.p0,
                     "alpha": self.parameters.alpha,
-                    "alpha0": self.parameters.resolved_alpha0(self.theorem_id),
+                    "alpha0": self.parameters.resolved_alpha0(),
                     "beta": self.parameters.beta,
                     "eps": self.parameters.eps,
                     "l": self.parameters.l,
@@ -491,7 +491,7 @@ def assemble_hypothesis_report(
 
     checks = []
     notes = []
-    alpha0 = params.resolved_alpha0(theorem_id)
+    alpha0 = params.resolved_alpha0()
     eps = params.eps
 
     def add(name, formula, lhs, rhs, passed):

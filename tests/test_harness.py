@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,16 @@ class TestConfig:
         config = ExperimentConfig.from_json(path)
         assert config.points_per_axis == 32
         assert config.mean == "riesz:1"
+        assert ExperimentConfig.from_json(path, mean="cutoff:2").mean_function.label == "cutoff:2"
+
+    def test_spec_strings_parsed_at_build(self):
+        config = ExperimentConfig(dimension=2, points_per_axis=16, symbol="quartic", window_radius=1.0)
+        assert config.sigma.degree == 4
+        assert config.norm_spec.kind == "liouville"
+        assert config.signal_function.spec == config.window.spec == config.grid
+        assert len(config.distribution.atoms) == 1
+        with pytest.raises(FrozenInstanceError):
+            config.symbol = "abs:2"
 
 
 class TestConvergenceFunction:
@@ -345,17 +356,83 @@ class TestCLI:
             (["converge", "--grid", "2,"], "grid"),
             (["norm", "--space", "liouville:0.5:2", "--via", "modulus"], "via"),
             (["converge", "--theorem", "T3"], "theorem"),
+            # every field is checked, whether or not the command uses it
+            (["conditions", "--space", "bogus"], "space"),
+            (["conditions", "--signal", "chirp"], "signal"),
+            (["norm", "--grid", "16", "--mean", "cauchy"], "mean"),
+            (["converge-dist", "--grid", "16", "--steps", "2", "--config", "{atom_int}"], "atoms[0]"),
+            (["converge-dist", "--grid", "16", "--steps", "2", "--config", "{atom_c}"], "atoms[0].c"),
+            (["converge-dist", "--grid", "16", "--steps", "2", "--config", "{atom_alpha}"], "atoms[0].alpha"),
+            (["converge", "--grid", "16", "--config", "{atom_far}"], "atoms[0]"),
+            (["converge", "--config", "{huge_t0}"], "too large"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
-        bad_config = tmp_path / "config.json"
-        bad_config.write_text(json.dumps({"bogus": 1, "points_per_axis": 32}))
-        str_config = tmp_path / "str_config.json"
-        str_config.write_text(json.dumps({"steps": "3"}))
-        argv = [a.format(bad_config=bad_config, str_config=str_config) for a in argv]
+        configs = {
+            "bad_config": {"bogus": 1, "points_per_axis": 32},
+            "str_config": {"steps": "3"},
+            "atom_int": {"atoms": [1]},
+            "atom_c": {"atoms": [{"x": [0.1], "c": [1]}]},
+            "atom_alpha": {"atoms": [{"alpha": [0.5]}]},
+            "atom_far": {"atoms": [{"x": [3.0]}]},
+            "huge_t0": {"t0": 10**400},
+        }
+        paths = {name: tmp_path / f"{name}.json" for name in configs}
+        for name, path in paths.items():
+            path.write_text(json.dumps(configs[name]))
+        argv = [a.format(**paths) for a in argv]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    def test_flags_override_config_before_validation(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"symbol": "quartic", "steps": "3"}))
+        argv = ["converge", "--grid", "2,16", "--steps", "2"]
+        assert cli_main(argv + ["--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli_main(argv + ["--symbol", "quartic"]) == 0
+        assert from_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "space,via,route",
+        [
+            ("besov_modulus:0.5:2:2", "lp", "modulus"),
+            ("classical_besov:0.5:2:2", "lp", "classical"),
+            ("besov:0.5:2:2", "lp", "lp"),
+            ("besov:0.5:2:2", "classical", "classical"),
+            ("liouville:0.5:2", "lp", "lp"),
+        ],
+    )
+    def test_norm_echoes_the_route_it_ran(self, space, via, route, capsys):
+        assert cli_main(["norm", "--grid", "16", "--space", space, "--via", via]) == 0
+        assert json.loads(capsys.readouterr().out)["via"] == route
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--grid", "16", "--steps", "2"],
+            ["converge-dist", "--grid", "16", "--steps", "2"],
+            ["equivalence", "--grid", "8"],
+            ["conditions"],
+            ["norm", "--grid", "16"],
+            ["apply", "--grid", "16"],
+        ],
+    )
+    def test_each_spec_string_parsed_once(self, argv, monkeypatch, capsys):
+        calls = []
+        for name in ("parse_symbol", "parse_mean", "parse_norm_spec", "make_signal"):
+            assert not hasattr(cli, name)
+
+            def counted(text, *args, name=name, parse=getattr(harness, name)):
+                calls.append((name, text))
+                return parse(text, *args)
+
+            monkeypatch.setattr(harness, name, counted)
+        assert cli_main(argv + ["--signal", "truncated_cone"]) == 0
+        for call in (("parse_symbol", "abs:2"), ("parse_mean", "gaussian"),
+                     ("parse_norm_spec", "liouville:0.5:2"), ("make_signal", "truncated_cone")):
+            assert calls.count(call) == 1
 
     def test_theorem_rejected_before_the_sweep(self, monkeypatch, capsys):
         def sweep(config):
@@ -468,6 +545,26 @@ class TestCLIFuzz:
             assert err.getvalue().startswith(("error: ", "usage: "))
 
 
+# of the wrong type, not finite, bool or null; strings would be paths for `out`
+_CONFIG_JUNK = st.sampled_from((1, 0, -1, 1.5, math.nan, math.inf, -math.inf, True, False, None, [], {}))
+_CONFIG_JUNK_TEXT = st.sampled_from(("3", "abc", ""))
+
+
+@st.composite
+def _atoms(draw):
+    """No atom, one junk entry, or one atom with a field dropped or set
+    to junk, a wrong-length list or an out-of-range value."""
+    atom = {"x": [0.3], "alpha": [1], "c": [0.5, 0.2]}
+    key = draw(st.sampled_from(sorted(atom)))
+    how = draw(st.sampled_from(("keep", "drop", "junk")))
+    if how == "drop":
+        del atom[key]
+    elif how == "junk":
+        lists = st.sampled_from(([0.5], [-1], [5], [3.0], [math.nan], [1, 2, 3], ["a"]))
+        atom[key] = draw(st.one_of(_CONFIG_JUNK, _CONFIG_JUNK_TEXT, lists))
+    return draw(st.sampled_from(([], [atom], [draw(st.one_of(_CONFIG_JUNK, _CONFIG_JUNK_TEXT))])))
+
+
 # ExperimentConfig field -> valid values; grids stay at N <= 2, n in {8, 16},
 # at most 3 steps and 25 corpus members
 _CONFIG_VALID = {
@@ -495,14 +592,11 @@ _CONFIG_VALID = {
     "seed": st.sampled_from((0, 7)),
     "corpus_size": st.sampled_from((20, 25)),
     "band": st.sampled_from((2.0, 4.0)),
-    "atoms": st.sampled_from(([], [{"x": [0.3], "alpha": [1], "c": [0.5, 0.2]}])),
+    "atoms": _atoms(),
     "density_signal": st.sampled_from((None, "bump")),
     "out": st.just(None),
     "format": st.sampled_from(("json", "csv")),
 }
-# of the wrong type, not finite, bool or null; strings would be paths for `out`
-_CONFIG_JUNK = st.sampled_from((1, 0, -1, 1.5, math.nan, math.inf, -math.inf, True, False, None, [], {}))
-_CONFIG_JUNK_TEXT = st.sampled_from(("3", "abc", ""))
 _CONFIG_SMALL = {"points_per_axis": 8, "steps": 2, "corpus_size": 20}
 
 
