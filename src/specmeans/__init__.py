@@ -31,7 +31,6 @@ from .multipliers import (
     MultiplierPlan,
     apply_multiplier,
     bessel_order,
-    converge_error,
     mollify,
     spectral_derivative,
     spectral_mean,

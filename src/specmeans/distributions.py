@@ -85,7 +85,6 @@ def _atom_mode_weights(spec: GridSpec, x0, alpha, sign: int) -> np.ndarray:
     at grid level.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    alpha = (0,) * spec.dimension if alpha is None else tuple(alpha)
     freqs = spec.axis_frequencies()
     nyq = np.argmin(freqs)  # index of the -n/2 row
     out = np.ones(spec.shape, dtype=complex)
@@ -102,8 +101,8 @@ def _atom_mode_weights(spec: GridSpec, x0, alpha, sign: int) -> np.ndarray:
     return out
 
 
-def _eval_at_point(F: SpectrumFunction, x0, alpha=None) -> complex:
-    """Trigonometric interpolation of (D^alpha of) the inverse transform
+def _eval_at_point(F: SpectrumFunction, x0, alpha) -> complex:
+    """Trigonometric interpolation of D^alpha of the inverse transform
     at an arbitrary point x0; exact for band-limited functions."""
     spec = F.spec
     weight = _atom_mode_weights(spec, x0, alpha, sign=+1)
@@ -229,18 +228,17 @@ def classify_membership(
     alpha: float,
     p: float,
     spec: GridSpec,
-    grow_threshold: float = 1.2,
-    stable_threshold: float = 1.02,
 ) -> dict:
     """Refinement test for f in L_p^{-alpha}: the squared lattice norm at
-    n and 2n either stabilizes (member) or keeps growing (non-member)."""
+    n and 2n either stabilizes (ratio below 1.02: member) or keeps growing
+    (ratio above 1.2: non-member)."""
     fine = GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period)
     v1 = negative_liouville_norm(f, alpha, p, spec) ** 2
     v2 = negative_liouville_norm(f, alpha, p, fine) ** 2
     ratio = v2 / v1 if v1 > 0 else 1.0
-    if ratio > grow_threshold:
+    if ratio > 1.2:
         verdict = "non-member"
-    elif ratio < stable_threshold:
+    elif ratio < 1.02:
         verdict = "member"
     else:
         verdict = "inconclusive"

@@ -91,12 +91,21 @@ def parse_norm_spec(text: str) -> NormSpec:
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list": list}
 
 
+def _finite(name: str, value: numbers.Real) -> bool:
+    """math.isfinite(value), for an int beyond float range too: that one
+    is an error naming `name`."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large to convert to float") from None
+
+
 def _numbers(name: str, value, size: int, whole: bool = False) -> list:
     """value, when it is a list of `size` finite numbers, whole and >= 0
     if `whole`."""
     kind, what = (numbers.Integral, "whole numbers >= 0") if whole else (numbers.Real, "numbers")
     if not (isinstance(value, list) and len(value) == size and all(
-        isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v) and not (whole and v < 0)
+        isinstance(v, kind) and not isinstance(v, bool) and _finite(name, v) and not (whole and v < 0)
         for v in value
     )):
         raise ValueError(f"{name} must be a list of {size} finite {what}, got {value!r}")
@@ -166,12 +175,16 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
             # an exponent may be +inf (the max norm); other numbers are finite
             exponent = f.name in ("p", "p0", "q") and value == math.inf
-            if kind == "float" and not (math.isfinite(value) or exponent):
+            if kind == "float" and not (exponent or _finite(f.name, value)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.theorem not in ("T1", "T2"):
             raise ValueError(f"theorem must be 'T1' or 'T2', got {self.theorem!r}")
         if not (0 < self.ratio < 1) or self.t0 <= 0 or self.steps < 1:
             raise ValueError("t schedule must be strictly decreasing and positive")
+        if self.corpus_size < 20:
+            raise ValueError(f"corpus_size must be >= 20, got {self.corpus_size}")
+        if not (self.band >= 1 and float(self.band).is_integer()):
+            raise ValueError(f"band must be a whole number >= 1, got {self.band!r}")
         if self.window_radius is not None:
             limit = self.period / 2.0 - self.period / 8.0
             if not (0 < self.window_radius < limit):
@@ -235,7 +248,7 @@ class ConvergenceReport:
     monotone: bool
     space: str
     norm_route: str
-    hypothesis_json: Optional[str] = None
+    hypothesis: Optional[dict] = None
     hypothesis_passed: Optional[bool] = None
     boundedness_ratio: Optional[float] = None
     extra: dict = field(default_factory=dict)
@@ -322,7 +335,7 @@ def _sweep_report(
         monotone=all(b < a for a, b in zip(errs, errs[1:])),
         space=space,
         norm_route=norm_route,
-        hypothesis_json=report.to_json(),
+        hypothesis=report.to_dict(),
         hypothesis_passed=report.passed,
         **report_fields,
     )
@@ -352,8 +365,6 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     stability factor), classical/Nikolskii/Slobodetskii ratio brackets,
     and the Liouville-vs-Sobolev quadratic identity at p = 2, s = 1.
     """
-    if config.corpus_size < 20:
-        raise ValueError("corpus size must be >= 20")
     spec = config.grid
     s, pp, qq = 0.7, 2.0, 2.0
     norm_spec = config.norm_spec
@@ -372,7 +383,7 @@ def run_equivalence(config: ExperimentConfig) -> dict:
             ratios["slobodetskii_vs_classical"] = []
         for f in fs:
             blp = besov_norm_lp(f, params, partition)
-            bmod = besov_norm_modulus(f, params, m=2, n1=0)
+            bmod = besov_norm_modulus(f, params, m=2)
             bcl = classical_besov_norm(f, BesovParams(s, pp, pp))
             nik = nikolskii_norm(f, s, pp)
             ratios["modulus_vs_lp"].append(bmod / blp)
@@ -450,7 +461,7 @@ def report_to_json(report: ConvergenceReport) -> str:
         "hypothesis_passed": report.hypothesis_passed,
         "boundedness_ratio": report.boundedness_ratio,
     }
-    if report.hypothesis_json is not None:
-        payload["hypothesis"] = json.loads(report.hypothesis_json)
+    if report.hypothesis is not None:
+        payload["hypothesis"] = report.hypothesis
     payload.update(report.extra)
     return json.dumps(payload, indent=2)

@@ -32,7 +32,6 @@ __all__ = [
     "derivative_plan",
     "spectral_derivative",
     "mollify",
-    "converge_error",
 ]
 
 
@@ -40,7 +39,6 @@ __all__ = [
 class MultiplierPlan:
     spec: GridSpec
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         arr = np.asarray(self.values)
@@ -64,11 +62,11 @@ def spectral_mean_plan(
 ) -> MultiplierPlan:
     """Multiplier values p(t * sigma(y)); sigma(0) = 0 forces p(0) = 1 at
     the zero mode."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     sig = np.asarray(sigma(*spec.frequency_grids()), dtype=float)
     vals = np.asarray(p(t * sig), dtype=float)
-    return MultiplierPlan(spec, vals, f"mean p={p.label} t={t:g} sigma={sigma.label}")
+    return MultiplierPlan(spec, vals)
 
 
 def spectral_mean(
@@ -79,7 +77,7 @@ def spectral_mean(
 
 def bessel_plan(s: float, spec: GridSpec) -> MultiplierPlan:
     vals = (1.0 + spec.frequency_magnitude() ** 2) ** (s / 2.0)
-    return MultiplierPlan(spec, vals, f"bessel s={s:g}")
+    return MultiplierPlan(spec, vals)
 
 
 def bessel_order(s: float, f: GridFunction) -> GridFunction:
@@ -96,7 +94,7 @@ def derivative_plan(alpha, spec: GridSpec) -> MultiplierPlan:
     for g, a in zip(grids, alpha):
         if a:
             vals = vals * (1j * g) ** a
-    return MultiplierPlan(spec, vals, f"derivative alpha={alpha}")
+    return MultiplierPlan(spec, vals)
 
 
 def spectral_derivative(f: GridFunction, alpha) -> GridFunction:
@@ -161,8 +159,7 @@ def mollify(u: GridFunction, h: float, bump: GridFunction) -> GridFunction:
     scaled = [h * g for g in grids]
     bump_hat = _nonuniform_spectrum(bump, scaled)
     mult = (2.0 * np.pi) ** spec.dimension * bump_hat
-    plan = MultiplierPlan(spec, mult, f"mollify h={h:g}")
-    return apply_multiplier(plan, u)
+    return apply_multiplier(MultiplierPlan(spec, mult), u)
 
 
 def _support_radius(bump: GridFunction) -> float:
@@ -173,19 +170,3 @@ def _support_radius(bump: GridFunction) -> float:
         return 0.0
     return float(np.max(r[mask]))
 
-
-def converge_error(
-    p: MeanFunction,
-    t: float,
-    sigma: HomogeneousSymbol,
-    u: GridFunction,
-    norm_spec,
-    window: GridFunction | None = None,
-) -> float:
-    """Localized norm of p(tA)u - u under the requested norm route, from
-    its spectrum (p(t sigma) - 1) u_hat."""
-    from .spaces import localized_norm  # deferred: spaces builds on this module
-
-    P = spectral_mean_plan(p, t, sigma, u.spec).values
-    err = SpectrumFunction(u.spec, (P - 1.0) * forward_transform(u).coefficients)
-    return localized_norm(err, window, norm_spec)

@@ -10,11 +10,11 @@ from .spaces import smooth_step
 __all__ = ["make_signal", "standard_bump"]
 
 
-def standard_bump(spec: GridSpec, radius: float = 1.0) -> GridFunction:
-    """exp(-1/(1-|x/r|^2)) inside |x| < r, normalized to unit discrete
+def standard_bump(spec: GridSpec) -> GridFunction:
+    """exp(-1/(1-|x|^2)) inside |x| < 1, normalized to unit discrete
     integral (the mollifier profile)."""
     mesh = spec.meshgrid()
-    r2 = sum(m**2 for m in mesh) / radius**2
+    r2 = sum(m**2 for m in mesh)
     vals = np.zeros(spec.shape)
     inside = r2 < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - r2[inside]))

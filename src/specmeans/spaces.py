@@ -263,28 +263,21 @@ def _log_nodes(lo: float, hi: float) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def besov_norm_modulus(
-    f: GridFunction, params: BesovParams, m: int, n1: int
-) -> float:
-    """Modulus-of-continuity Besov norm: ||f||_p plus, per axis, the
-    L_q(dt/t) norm of t^{n1-s} omega_p^m(t, d^{n1} f / dx_j^{n1})."""
+def besov_norm_modulus(f: GridFunction, params: BesovParams, m: int) -> float:
+    """Modulus-of-continuity Besov norm: ||f||_p plus, once per axis, the
+    L_q(dt/t) norm of t^{-s} omega_p^m(t, f)."""
     s = params.s
-    if s <= 0:
-        raise ValueError("modulus route needs s > 0")
-    if not (m + n1 > s and 0 <= n1 < s):
-        raise ValueError("need m + n1 > s and 0 <= n1 < s")
+    if not 0 < s < m:
+        raise ValueError("modulus route needs 0 < s < m")
     spec = f.spec
     ts = _log_nodes(spec.spacing, spec.period / 2.0)
-    steps, sets = _shift_sets(spec, ts)
+    weighted = ts ** (-s) * _moduli(f, *_shift_sets(spec, ts), m, params.p)
+    if params.q == np.inf:
+        term = float(np.max(weighted))
+    else:
+        term = _log_grid_integral(ts, weighted**params.q) ** (1.0 / params.q)
     total = lp_norm(f, params.p)
-    for j, alpha in enumerate(n1 * np.eye(spec.dimension, dtype=int)):
-        if n1 or j == 0:  # with n1 = 0 every axis has g = f
-            g = spectral_derivative(f, alpha) if n1 else f
-            weighted = ts ** (n1 - s) * _moduli(g, steps, sets, m, params.p)
-            if params.q == np.inf:
-                term = float(np.max(weighted))
-            else:
-                term = _log_grid_integral(ts, weighted**params.q) ** (1.0 / params.q)
+    for _ in range(spec.dimension):  # added in turn: N * term can round differently
         total += term
     return total
 
@@ -392,15 +385,12 @@ def slobodetskii_norm(f: GridFunction, s: float, p: float) -> float:
     return total
 
 
-def smooth_window(
-    spec: GridSpec, radius: float, outer: float | None = None
-) -> GridFunction:
-    """Smooth cutoff: 1 on |x| <= radius, 0 outside |x| >= outer
-    (default 3L/8, keeping the L/8 boundary margin)."""
-    if outer is None:
-        outer = 3.0 * spec.period / 8.0
+def smooth_window(spec: GridSpec, radius: float) -> GridFunction:
+    """Smooth cutoff: 1 on |x| <= radius, 0 outside |x| >= 3L/8, keeping
+    the L/8 boundary margin."""
+    outer = 3.0 * spec.period / 8.0
     if not (0 < radius < outer):
-        raise ValueError("need 0 < radius < outer")
+        raise ValueError("need 0 < radius < 3L/8")
     mesh = spec.meshgrid()
     r = np.sqrt(sum(m**2 for m in mesh))
     return GridFunction(spec, smooth_step(r, radius, outer))
@@ -427,6 +417,8 @@ class NormSpec:
     def __post_init__(self):
         if any(math.isnan(v) for v in (self.p, self.s, self.q)):
             raise ValueError(f"{self.kind} fields must be numbers")
+        if self.kind == "sobolev" and not (self.s >= 0 and float(self.s).is_integer()):
+            raise ValueError(f"sobolev order must be a whole number >= 0, got {self.s:g}")
 
     def label(self) -> str:
         values = ":".join(f"{getattr(self, name):g}" for name in _NORM_FIELDS[self.kind])
@@ -454,7 +446,7 @@ def evaluate_norm(
         return besov_norm_lp(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), partition)
     f = _samples(f)
     if kind == "besov_modulus":
-        return besov_norm_modulus(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), m=2, n1=0)
+        return besov_norm_modulus(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q), m=2)
     if kind == "classical_besov":
         return classical_besov_norm(f, BesovParams(norm_spec.s, norm_spec.p, norm_spec.q))
     if kind == "sobolev":

@@ -41,6 +41,10 @@ __all__ = [
     "assemble_hypothesis_report",
 ]
 
+SAMPLES = 1000  # random points of the homogeneity and ellipticity checks
+JET_ORDER = 6  # highest closed-form derivative of the smooth cutoff
+BIG_LAMBDA = 1e3  # integrability: quadrature below, decay fit on [1, 4] x this
+
 
 @dataclass(frozen=True)
 class HomogeneousSymbol:
@@ -52,7 +56,6 @@ class HomogeneousSymbol:
 
     degree: float
     evaluate: Callable[..., np.ndarray]
-    label: str
     dimension: Optional[int] = None  # the only N it is defined for; None: any N
 
     def __post_init__(self):
@@ -70,7 +73,7 @@ def power_symbol(m: float) -> HomogeneousSymbol:
         r2 = sum(np.asarray(c) ** 2 for c in coords)
         return np.where(r2 > 0, r2 ** (m / 2.0), 0.0)
 
-    return HomogeneousSymbol(m, ev, f"abs:{m:g}")
+    return HomogeneousSymbol(m, ev)
 
 
 def quartic_symbol() -> HomogeneousSymbol:
@@ -79,28 +82,25 @@ def quartic_symbol() -> HomogeneousSymbol:
     def ev(y1, y2):
         return np.asarray(y1) ** 4 + np.asarray(y2) ** 4
 
-    return HomogeneousSymbol(4.0, ev, "quartic", dimension=2)
+    return HomogeneousSymbol(4.0, ev, dimension=2)
 
 
-def check_homogeneity(
-    sigma: HomogeneousSymbol, dimension: int, samples: int = 1000, seed: int = 0
-) -> float:
-    """Max relative error of sigma(lam*y) = lam^m sigma(y) on random samples."""
-    rng = np.random.default_rng(seed)
-    y = rng.normal(size=(samples, dimension))
-    lam = rng.uniform(0.1, 10.0, size=samples)
+def check_homogeneity(sigma: HomogeneousSymbol, dimension: int) -> float:
+    """Max relative error of sigma(lam*y) = lam^m sigma(y) on SAMPLES
+    random points."""
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=(SAMPLES, dimension))
+    lam = rng.uniform(0.1, 10.0, size=SAMPLES)
     base = sigma(*(y[:, j] for j in range(dimension)))
     scaled = sigma(*((lam * y[:, j].T).T for j in range(dimension)))
     expected = lam**sigma.degree * base
     return float(np.max(np.abs(scaled - expected) / np.abs(expected)))
 
 
-def check_ellipticity(
-    sigma: HomogeneousSymbol, dimension: int, samples: int = 1000, seed: int = 0
-) -> float:
-    """Minimum of sigma over a random unit-sphere sample (must be > 0)."""
-    rng = np.random.default_rng(seed)
-    y = rng.normal(size=(samples, dimension))
+def check_ellipticity(sigma: HomogeneousSymbol, dimension: int) -> float:
+    """Minimum of sigma over SAMPLES random unit-sphere points (must be > 0)."""
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=(SAMPLES, dimension))
     y /= np.linalg.norm(y, axis=1, keepdims=True)
     vals = sigma(*(y[:, j] for j in range(dimension)))
     return float(np.min(vals))
@@ -193,11 +193,11 @@ def _bridge_jet(x: np.ndarray, tau: float, order: int) -> np.ndarray:
     return np.where(flip, er, r)
 
 
-def make_smooth_cutoff_mean(tau: float, max_order: int = 6) -> MeanFunction:
+def make_smooth_cutoff_mean(tau: float) -> MeanFunction:
     """C^inf profile: 1 on [0, tau/2], 0 on [tau, inf), smooth bridge between.
 
     The bridge is e^{-1/(tau-x)} / (e^{-1/(tau-x)} + e^{-1/(x-tau/2)}).
-    p itself is evaluated directly; derivatives up to `max_order` come
+    p itself is evaluated directly; derivatives up to JET_ORDER come
     from the bridge's Taylor jet (`_bridge_jet`), and are exactly 0 on the
     flat pieces.
     """
@@ -216,8 +216,8 @@ def make_smooth_cutoff_mean(tau: float, max_order: int = 6) -> MeanFunction:
         return out
 
     def deriv(j, lam):
-        if not 0 <= j <= max_order:
-            raise ValueError(f"closed-form derivatives available for orders 0..{max_order}")
+        if not 0 <= j <= JET_ORDER:
+            raise ValueError(f"closed-form derivatives available for orders 0..{JET_ORDER}")
         lam = np.asarray(lam, dtype=float)
         if j == 0:
             return ev(lam)
@@ -241,15 +241,13 @@ class IntegrabilityResult:
     reason: str = ""
 
 
-def check_integrability(
-    p: MeanFunction, N: int, alpha0: float, m: float, big_lambda: float = 1e3
-) -> IntegrabilityResult:
+def check_integrability(p: MeanFunction, N: int, alpha0: float, m: float) -> IntegrabilityResult:
     r"""Test \int_0^inf |p(lambda)| lambda^e dlambda < inf, e = (N-alpha0-1)/m.
 
-    The head [0, big_lambda] is integrated by adaptive quadrature on
-    [0, 1] and ten geometric pieces of [1, big_lambda]; the
+    The head [0, BIG_LAMBDA] is integrated by adaptive quadrature on
+    [0, 1] and ten geometric pieces of [1, BIG_LAMBDA]; the
     tail is classified through the empirical decay exponent of |p| fitted
-    on [big_lambda, 4*big_lambda] (finite iff it exceeds e + 1 + 0.1).
+    on [BIG_LAMBDA, 4*BIG_LAMBDA] (finite iff it exceeds e + 1 + 0.1).
     """
     if m < 1 or N < 1:
         raise ValueError("need m >= 1 and N >= 1")
@@ -261,11 +259,11 @@ def check_integrability(
         return abs(float(p(lam))) * lam**e
 
     # geometric pieces above 1, so a support edge just past lambda = 1 is
-    # not lost between the first nodes of a single [1, big_lambda] rule
-    edges = np.concatenate([[0.0], np.geomspace(1.0, big_lambda, 11)])
+    # not lost between the first nodes of a single [1, BIG_LAMBDA] rule
+    edges = np.concatenate([[0.0], np.geomspace(1.0, BIG_LAMBDA, 11)])
     value = sum(quad(integrand, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
 
-    lam_tail = np.geomspace(big_lambda, 4 * big_lambda, 16)
+    lam_tail = np.geomspace(BIG_LAMBDA, 4 * BIG_LAMBDA, 16)
     vals = np.abs(p(lam_tail))
     if np.max(vals) < 1e-300:
         decay = math.inf
@@ -455,29 +453,29 @@ class HypothesisReport:
     def failed_conditions(self):
         return [c.name for c in self.checks if not c.passed]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem": self.theorem_id,
-                "parameters": {
-                    "N": self.parameters.N,
-                    "m": self.parameters.m,
-                    "p": self.parameters.p,
-                    "p0": self.parameters.p0,
-                    "alpha": self.parameters.alpha,
-                    "alpha0": self.parameters.resolved_alpha0(),
-                    "beta": self.parameters.beta,
-                    "eps": self.parameters.eps,
-                    "l": self.parameters.l,
-                    "q": self.parameters.q,
-                    "tau": self.parameters.tau,
-                },
-                "pass": self.passed,
-                "checks": [c.to_dict() for c in self.checks],
-                "notes": list(self.notes),
+    def to_dict(self) -> dict:
+        return {
+            "theorem": self.theorem_id,
+            "parameters": {
+                "N": self.parameters.N,
+                "m": self.parameters.m,
+                "p": self.parameters.p,
+                "p0": self.parameters.p0,
+                "alpha": self.parameters.alpha,
+                "alpha0": self.parameters.resolved_alpha0(),
+                "beta": self.parameters.beta,
+                "eps": self.parameters.eps,
+                "l": self.parameters.l,
+                "q": self.parameters.q,
+                "tau": self.parameters.tau,
             },
-            indent=2,
-        )
+            "pass": self.passed,
+            "checks": [c.to_dict() for c in self.checks],
+            "notes": list(self.notes),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def assemble_hypothesis_report(

@@ -38,7 +38,6 @@ from specmeans import (
     spectral_mean,
     verify_duality,
 )
-from specmeans.multipliers import converge_error
 from specmeans.spaces import NormSpec
 from specmeans.symbols import (
     TheoremParameters,
@@ -49,6 +48,13 @@ from specmeans.symbols import (
 
 def _report(num, text):
     print(f"criterion {num:02d}: PASS ({text})")
+
+
+def sweep_errors(**fields):
+    """Errors of the CLI's convergence sweep, from t0 = 0.1 down by
+    factors of 4 over 7 steps."""
+    config = ExperimentConfig(dimension=1, t0=0.1, ratio=0.25, steps=7, **fields)
+    return [r["error"] for r in run_convergence_function(config).records]
 
 
 def slow_transform_1d(u, spec):
@@ -160,19 +166,12 @@ class TestCriterion05ConvergenceFunction:
         start = time.perf_counter()
         spec = GridSpec(1, 256)
         u = make_signal("bump", spec)
-        p = make_gaussian_mean()
-        sigma = power_symbol(2.0)
         ts = [1e-1 * 0.25**k for k in range(7)]
         alpha = 0.5
 
-        errs_lio = [
-            converge_error(p, t, sigma, u, NormSpec("liouville", s=alpha, p=2.0))
-            for t in ts
-        ]
-        errs_bes = [
-            converge_error(p, t, sigma, u, NormSpec("besov_lp", s=alpha, p=2.0, q=2.0))
-            for t in ts
-        ]
+        sweep = {"points_per_axis": 256, "signal": "bump", "mean": "gaussian", "symbol": "abs:2"}
+        errs_lio = sweep_errors(space="liouville:0.5:2", **sweep)
+        errs_bes = sweep_errors(space="besov:0.5:2:2", **sweep)
         for errs in (errs_lio, errs_bes):
             assert all(b < a for a, b in zip(errs, errs[1:]))
             assert errs[-1] / errs[0] <= 1e-3
@@ -246,12 +245,9 @@ class TestCriterion06IndicatorMean:
         report = assemble_hypothesis_report("T2", params, indicator)
         assert report.passed, report.failed_conditions()
 
-        spec = GridSpec(1, 64)
-        u = make_signal("bump", spec)
-        sigma = power_symbol(2.0)
-        ns = NormSpec("liouville", s=0.5, p=2.0)
-        ts = [1e-1 * 0.25**k for k in range(7)]
-        errs = [converge_error(indicator, t, sigma, u, ns) for t in ts]
+        errs = sweep_errors(
+            points_per_axis=64, signal="bump", mean="riesz:0", symbol="abs:2", space="liouville:0.5:2"
+        )
         # once 1/t clears the lattice band, every mode is kept: the error
         # hits the band-truncation floor (identically zero on the grid)
         assert errs[-1] <= 1e-12 * errs[0]

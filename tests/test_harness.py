@@ -220,8 +220,8 @@ class TestEquivalence:
         assert lio["max"] == pytest.approx(1.0, rel=1e-10)
 
     def test_small_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            run_equivalence(ExperimentConfig(corpus_size=5))
+        with pytest.raises(ValueError, match="corpus_size"):
+            ExperimentConfig(corpus_size=5)
 
 
 class TestConditions:
@@ -365,6 +365,16 @@ class TestCLI:
             (["converge-dist", "--grid", "16", "--steps", "2", "--config", "{atom_alpha}"], "atoms[0].alpha"),
             (["converge", "--grid", "16", "--config", "{atom_far}"], "atoms[0]"),
             (["converge", "--config", "{huge_t0}"], "too large"),
+            (["converge-dist", "--grid", "16", "--steps", "2", "--config", "{atom_huge}"], "atoms[0].x"),
+            (["equivalence", "--grid", "16", "--config", "{band_zero}"], "band"),
+            (["equivalence", "--grid", "16", "--config", "{band_negative}"], "band"),
+            (["equivalence", "--grid", "16", "--config", "{band_fraction}"], "band"),
+            (["conditions", "--config", "{small_corpus}"], "corpus_size"),
+            (["norm", "--grid", "16", "--space", "sobolev:1.5:2"], "space"),
+            (["conditions", "--space", "sobolev:1.5:2"], "space"),
+            (["conditions", "--space", "sobolev:-1:2"], "space"),
+            (["apply", "--grid", "16", "--t", "nan"], "t must be"),
+            (["apply", "--grid", "16", "--t", "inf"], "t must be"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
@@ -376,14 +386,22 @@ class TestCLI:
             "atom_alpha": {"atoms": [{"alpha": [0.5]}]},
             "atom_far": {"atoms": [{"x": [3.0]}]},
             "huge_t0": {"t0": 10**400},
+            "atom_huge": {"atoms": [{"x": [10**400]}]},
+            "band_zero": {"band": 0},
+            "band_negative": {"band": -3},
+            "band_fraction": {"band": 8.5},
+            "small_corpus": {"corpus_size": 10},
         }
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, path in paths.items():
             path.write_text(json.dumps(configs[name]))
+        huge_t0 = "{huge_t0}" in argv
         argv = [a.format(**paths) for a in argv]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        if huge_t0:  # the overflowing field is named too
+            assert "t0" in err
 
     def test_flags_override_config_before_validation(self, tmp_path, capsys):
         path = tmp_path / "config.json"

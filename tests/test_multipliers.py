@@ -41,9 +41,9 @@ class TestPlans:
     def test_plan_shape_validated(self):
         spec = GridSpec(1, 16)
         with pytest.raises(ValueError):
-            MultiplierPlan(spec, np.ones(8), "bad")
+            MultiplierPlan(spec, np.ones(8))
         with pytest.raises(ValueError):
-            MultiplierPlan(spec, np.full(16, np.inf), "bad")
+            MultiplierPlan(spec, np.full(16, np.inf))
 
     def test_zero_mode_is_one(self):
         spec = GridSpec(2, 16)
@@ -151,7 +151,7 @@ class TestMollify:
     def test_h_margin_checked(self):
         spec = GridSpec(1, 128)
         u = smooth_signal(spec, seed=6)
-        bump = standard_bump(spec, radius=1.0)
+        bump = standard_bump(spec)
         with pytest.raises(ValueError):
             mollify(u, spec.period / 4.0, bump)
 
@@ -159,7 +159,7 @@ class TestMollify:
         # convolving a constant with a unit-mass kernel returns it
         spec = GridSpec(1, 128)
         u = GridFunction(spec, np.full(128, 2.5))
-        bump = standard_bump(spec, radius=1.0)
+        bump = standard_bump(spec)
         v = mollify(u, 0.3, bump)
         assert np.max(np.abs(v.values - 2.5)) < 1e-8
 
@@ -168,7 +168,7 @@ class TestMollify:
         spec = GridSpec(1, 256)
         x = spec.axis_points()
         u = GridFunction(spec, np.sin(2 * x) + 0.3 * np.cos(5 * x))
-        bump = standard_bump(spec, radius=1.0)
+        bump = standard_bump(spec)
         errs = []
         hs = [0.2, 0.1, 0.05]
         for h in hs:
@@ -182,7 +182,7 @@ class TestMollify:
         # oracle: periodic convolution computed pointwise in space
         spec = GridSpec(1, 128)
         u = smooth_signal(spec, seed=7)
-        bump = standard_bump(spec, radius=1.0)
+        bump = standard_bump(spec)
         h = 0.25
         v = mollify(u, h, bump)
         x = spec.axis_points()
@@ -212,6 +212,6 @@ class TestApply:
     def test_identity_plan(self):
         spec = GridSpec(2, 16)
         f = smooth_signal(spec, seed=8)
-        plan = MultiplierPlan(spec, np.ones(spec.shape), "identity")
+        plan = MultiplierPlan(spec, np.ones(spec.shape))
         g = apply_multiplier(plan, f)
         assert np.max(np.abs(g.values - f.values)) < 1e-13

@@ -18,7 +18,7 @@ class TestBump:
 
     def test_standard_bump_unit_mass(self):
         spec = GridSpec(1, 256)
-        b = standard_bump(spec, radius=1.0)
+        b = standard_bump(spec)
         assert np.sum(b.values) * spec.cell_volume == pytest.approx(1.0, rel=1e-12)
         assert np.min(b.values) >= 0
 

@@ -157,7 +157,7 @@ class TestBesovRoutes:
         f = trig_signal(spec, seed=5)
         s, p, q = 0.5, 2.0, 2.0
         a = besov_norm_lp(f, BesovParams(s, p, q), build_partition(spec))
-        b = besov_norm_modulus(f, BesovParams(s, p, q), m=2, n1=0)
+        b = besov_norm_modulus(f, BesovParams(s, p, q), m=2)
         c = classical_besov_norm(f, BesovParams(s, p, q))
         for x, y in ((a, b), (a, c), (b, c)):
             r = x / y
@@ -177,9 +177,9 @@ class TestBesovRoutes:
     def test_modulus_preconditions(self):
         f = trig_signal(GridSpec(1, 64))
         with pytest.raises(ValueError):
-            besov_norm_modulus(f, BesovParams(1.5, 2, 2), m=1, n1=0)
+            besov_norm_modulus(f, BesovParams(1.5, 2, 2), m=1)
         with pytest.raises(ValueError):
-            besov_norm_modulus(f, BesovParams(0.5, 2, 2), m=2, n1=1)
+            besov_norm_modulus(f, BesovParams(0.0, 2, 2), m=2)
 
 
 class TestIntegerOrderNorms:
@@ -349,7 +349,7 @@ def reference_h_set(spec):
 
 
 def reference_modulus_besov(f, s, p, q, m):
-    """n1 = 0: every axis contributes the same L_q(dt/t) term."""
+    """Every axis contributes the same L_q(dt/t) term."""
     ts = reference_log_nodes(f.spec.spacing, f.spec.period / 2.0)
     omegas = [
         max((lp_norm(difference(f, y, m), p) for y in reference_shifts(f.spec, t)), default=0.0)
@@ -431,7 +431,7 @@ class TestDifferenceKernel:
         spec = GridSpec(*grid)
         f = trig_signal(spec, seed=seed, kmax=spec.points_per_axis // 4)
         s = 0.7 if m == 2 else 0.5
-        assert besov_norm_modulus(f, BesovParams(s, p, 2.0), m, 0) == reference_modulus_besov(
+        assert besov_norm_modulus(f, BesovParams(s, p, 2.0), m) == reference_modulus_besov(
             f, s, p, 2.0, m
         )
         assert nikolskii_norm(f, 0.7, p) == reference_nikolskii(f, 0.7, p)
