@@ -364,8 +364,14 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     Reports the LP-vs-modulus Besov ratio bracket (with its grid-doubling
     stability factor), classical/Nikolskii/Slobodetskii ratio brackets,
     and the Liouville-vs-Sobolev quadratic identity at p = 2, s = 1.
+    The corpus band must lie below the grid's Nyquist wavenumber n/2:
+    every wavenumber at or above it aliases onto a lower one.
     """
     spec = config.grid
+    if config.band >= spec.points_per_axis / 2:
+        raise ValueError(
+            f"band must be below n/2 = {spec.points_per_axis // 2} on this grid, got {config.band:g}"
+        )
     s, pp, qq = 0.7, 2.0, 2.0
     norm_spec = config.norm_spec
     if norm_spec.kind in ("besov_lp", "besov_modulus"):

@@ -5,6 +5,13 @@ Liouville (Bessel-weighted L_p), Littlewood-Paley Besov, the
 modulus-of-continuity Besov equivalent, classical Besov with second
 differences, Sobolev, Slobodetskii (1-D), Nikolskii (the classical
 route at q = inf), and smooth-cutoff localized versions of all of them.
+
+The difference routes share one kernel, `difference_norms`.  At p = 2 it
+reads every step's norm from one autocorrelation of f (Wiener-Khinchin),
+and a cancellation guard recomputes from a positive spectral sum the
+steps where that shortcut could lose more than 1e-12 relative; other p
+sum the stencil in space.  The lattice steps of the modulus and
+classical routes depend only on the grid and are built once per grid.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -50,6 +58,7 @@ __all__ = [
 
 SHIFT_CAP = 512  # 2-D/3-D modulus shift sets above this size are subsampled
 NODES_PER_DECADE = 64  # log-spaced t and |h| quadrature nodes
+GUARD_TOL = 1e-12  # p = 2 steps whose estimated relative error exceeds this are recomputed
 
 
 def _bridge(x: np.ndarray) -> np.ndarray:
@@ -176,14 +185,19 @@ def _shift_steps(spec: GridSpec, y) -> tuple:
     return tuple(int(s) for s in rounded)
 
 
-def _stencil(values: np.ndarray, steps, m: int) -> np.ndarray:
-    """sum_k C(m,k) (-1)^k values(x + k y) for the lattice step y = steps."""
+def _stencil_weights(m: int) -> list:
+    """C(m,k) (-1)^k for k = 0..m, the weights of the m-th difference."""
     if m < 1:
         raise ValueError("difference order must be >= 1")
+    return [comb(m, k) * (-1) ** k for k in range(m + 1)]
+
+
+def _stencil(values: np.ndarray, steps, m: int) -> np.ndarray:
+    """sum_k C(m,k) (-1)^k values(x + k y) for the lattice step y = steps."""
     acc = np.zeros(values.shape, dtype=complex)
-    for k in range(m + 1):
+    for k, weight in enumerate(_stencil_weights(m)):
         shifted = np.roll(values, tuple(-k * s for s in steps), axis=tuple(range(values.ndim)))
-        acc += comb(m, k) * (-1) ** k * shifted
+        acc += weight * shifted
     return acc
 
 
@@ -195,11 +209,48 @@ def difference(f: GridFunction, y, m: int) -> GridFunction:
 
 def difference_norms(f: GridFunction, steps, m: int, p: float) -> np.ndarray:
     """L_p norms of the m-th differences of f, one per row of `steps`:
-    integer lattice steps, shape (count, dimension), y = steps * spacing."""
+    integer lattice steps, shape (count, dimension), y = steps * spacing.
+
+    p = 2 takes every step from one autocorrelation of f, with the
+    cancellation guard of `_l2_difference_sums`; other p sum the stencil
+    in space.
+    """
     steps = np.asarray(steps, dtype=int)
     if steps.ndim != 2 or steps.shape[1] != f.spec.dimension:
         raise ValueError("steps must have shape (count, dimension)")
+    if p == 2:
+        return np.sqrt(f.spec.cell_volume * _l2_difference_sums(f.values, steps, m))
     return np.array([lp_norm(GridFunction(f.spec, _stencil(f.values, y, m)), p) for y in steps])
+
+
+def _l2_difference_sums(values: np.ndarray, steps: np.ndarray, m: int) -> np.ndarray:
+    """S_y = sum_x |Delta_y^m values(x)|^2 for every row y of `steps`.
+
+    With F = fftn(values) and A = ifftn(|F|^2), the circular
+    autocorrelation, S_y = Re sum_d c(d) A(d y mod n) for d = -m..m, where
+    c is the autocorrelation of the stencil weights C(m,k) (-1)^k.  A
+    carries an absolute error of about eps log2(n^N) A(0), the roundoff of
+    transforms log2(n^N) stages deep, so the cancellation in that sum
+    leaves S_y a relative error of about eps log2(n^N) A(0) 4^m / S_y, and
+    the norm sqrt(S_y) half of that.  Steps where the norm's estimate
+    exceeds GUARD_TOL are recomputed from the positive spectral sum
+    sum_xi |F(xi)|^2 (2 sin(pi xi.y / n))^{2m} / n^N, at O(n^N) per step.
+    """
+    weights = np.array(_stencil_weights(m), dtype=float)
+    n = values.shape[0]
+    power = np.abs(np.fft.fftn(values)) ** 2
+    auto = np.fft.ifftn(power).real
+    lags = np.arange(-m, m + 1)
+    at = (lags[:, None, None] * steps[None, :, :]) % n  # (lag, step, axis) indices into A
+    sums = np.correlate(weights, weights, mode="full") @ auto[tuple(np.moveaxis(at, -1, 0))]
+    error = np.finfo(float).eps * np.log2(values.size) * auto.flat[0] * 4.0**m
+    unsure = np.flatnonzero(error > 2.0 * GUARD_TOL * sums)
+    if unsure.size:
+        response = (2.0 * np.sin(np.pi * np.arange(n) / n)) ** (2 * m)  # at xi.y = 0..n-1 mod n
+        modes = np.indices(values.shape).reshape(values.ndim, -1)
+        for i in unsure:
+            sums[i] = power.reshape(-1) @ response[(steps[i] @ modes) % n] / power.size
+    return sums
 
 
 def _radii(spec: GridSpec, steps: np.ndarray) -> np.ndarray:
@@ -207,10 +258,15 @@ def _radii(spec: GridSpec, steps: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(v) for v in spec.spacing * steps], dtype=float)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _shift_sets(spec: GridSpec, ts) -> tuple:
     """Lattice shifts with 0 < |y| < t for every t in `ts`.
 
-    Returns the integer steps of all shifts below max(ts), sorted by
+    Returns the integer steps of the shifts in some set, sorted by
     (rounded |y| / spacing, y), and per t the indices of its set.  1-D
     sets are complete; above SHIFT_CAP shifts, 2-D and 3-D sets keep
     every (count // (SHIFT_CAP / 2))-th shift of that order.
@@ -232,14 +288,22 @@ def _shift_sets(spec: GridSpec, ts) -> tuple:
         if dimension > 1 and members.size > SHIFT_CAP:
             members = members[:: members.size // (SHIFT_CAP // 2)]
         sets.append(members)
-    return steps, sets
-
-
-def _moduli(f: GridFunction, steps: np.ndarray, sets: list, m: int, p: float) -> np.ndarray:
-    """omega(t) per shift set: each distinct shift is evaluated once."""
     used = np.unique(np.concatenate(sets))
-    norms = np.zeros(len(steps))
-    norms[used] = difference_norms(f, steps[used], m, p)
+    return steps[used], [np.searchsorted(used, members) for members in sets]
+
+
+@lru_cache(maxsize=64)
+def _modulus_shifts(spec: GridSpec) -> tuple:
+    """(t nodes, steps, shift sets) of the modulus route's log-trapezoid:
+    grid-only, so built once per grid, as read-only arrays."""
+    ts = _log_nodes(spec.spacing, spec.period / 2.0)
+    steps, sets = _shift_sets(spec, ts)
+    return _read_only(ts), _read_only(steps), tuple(map(_read_only, sets))
+
+
+def _moduli(f: GridFunction, steps: np.ndarray, sets, m: int, p: float) -> np.ndarray:
+    """omega(t) per shift set: each distinct shift is evaluated once."""
+    norms = difference_norms(f, steps, m, p)
     return np.array([np.max(norms[members], initial=0.0) for members in sets])
 
 
@@ -270,8 +334,8 @@ def besov_norm_modulus(f: GridFunction, params: BesovParams, m: int) -> float:
     if not 0 < s < m:
         raise ValueError("modulus route needs 0 < s < m")
     spec = f.spec
-    ts = _log_nodes(spec.spacing, spec.period / 2.0)
-    weighted = ts ** (-s) * _moduli(f, *_shift_sets(spec, ts), m, params.p)
+    ts, steps, sets = _modulus_shifts(spec)
+    weighted = ts ** (-s) * _moduli(f, steps, sets, m, params.p)
     if params.q == np.inf:
         term = float(np.max(weighted))
     else:
@@ -307,14 +371,16 @@ def sobolev_norm(f: GridFunction, m: int, p: float) -> float:
     return total
 
 
+@lru_cache(maxsize=64)
 def _difference_h_set(spec: GridSpec) -> tuple:
     """Lattice steps for the h-quadrature, magnitudes log-spaced in
-    [spacing, L/4], with per-node log weights.
+    [spacing, L/4], with per-node log weights; grid-only, so built once
+    per grid.
 
-    Returns (steps, magnitudes, weight): integer steps of shape
-    (count, dimension), their lengths, and the per-node weight.  1-D takes
-    positive steps only; the factor 2 surface measure of S^0 covers both
-    signs.
+    Returns (steps, magnitudes, weight): read-only integer steps of shape
+    (count, dimension), a tuple of their lengths, and the per-node weight.
+    1-D takes positive steps only; the factor 2 surface measure of S^0
+    covers both signs.
     """
     h, hi = spec.spacing, spec.period / 4.0
     mags = _log_nodes(h, hi)
@@ -331,7 +397,7 @@ def _difference_h_set(spec: GridSpec) -> tuple:
     steps = steps[np.any(steps != 0, axis=1)]
     steps = steps[np.sort(np.unique(steps, axis=0, return_index=True)[1])]
     radii = _radii(spec, steps)
-    return steps[radii <= hi], radii[radii <= hi].tolist(), dtheta
+    return _read_only(steps[radii <= hi]), tuple(radii[radii <= hi].tolist()), dtheta
 
 
 def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:

@@ -70,6 +70,8 @@ CASES = {
         {"density_signal": "bump", "atoms": [{"x": [0.3], "alpha": [1], "c": [0.5, 0.2]}]}),
     # fd_norms
     "equivalence-1d": (["equivalence", "--grid", "32", "--seed", "1", "--space", "besov:0.7:2:2"], None),
+    "equivalence-2d": (["equivalence", "--grid", "2,16", "--config", "{config}"], {"band": 3}),
+    "equivalence-3d": (["equivalence", "--grid", "3,8", "--config", "{config}"], {"band": 3}),
     "norm-2d-modulus": (_norm("2,16", "random_bandlimited:1:6", "besov:0.7:2:2", "--via", "modulus"), None),
     "norm-2d-classical": (_norm("2,32", "random_bandlimited:1:6", "besov:0.7:2:2", "--via", "classical"), None),
     "norm-2d-nikolskii": (_norm("2,32", "random_bandlimited:1:6", "nikolskii:0.7:2"), None),

@@ -375,6 +375,8 @@ class TestCLI:
             (["conditions", "--space", "sobolev:-1:2"], "space"),
             (["apply", "--grid", "16", "--t", "nan"], "t must be"),
             (["apply", "--grid", "16", "--t", "inf"], "t must be"),
+            (["equivalence", "--grid", "8", "--config", "{band_above_nyquist}"], "band"),
+            (["equivalence", "--grid", "16"], "band"),  # the default band 8 is n/2 here
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
@@ -390,6 +392,7 @@ class TestCLI:
             "band_zero": {"band": 0},
             "band_negative": {"band": -3},
             "band_fraction": {"band": 8.5},
+            "band_above_nyquist": {"band": 200},
             "small_corpus": {"corpus_size": 10},
         }
         paths = {name: tmp_path / f"{name}.json" for name in configs}
@@ -431,7 +434,7 @@ class TestCLI:
         [
             ["converge", "--grid", "16", "--steps", "2"],
             ["converge-dist", "--grid", "16", "--steps", "2"],
-            ["equivalence", "--grid", "8"],
+            ["equivalence", "--grid", "32"],
             ["conditions"],
             ["norm", "--grid", "16"],
             ["apply", "--grid", "16"],
@@ -497,8 +500,8 @@ def _mutated(draw, valid, sep):
     return sep.join(parts)
 
 
-# flag -> values; sizes stay small: at most 3 steps, n <= 16 and, for the
-# 3-D grid, n = 8
+# flag -> values; sizes stay small: at most 3 steps, n <= 16 (1-D n = 32
+# for equivalence) and, for the 3-D grid, n = 8
 _FUZZ_FLAGS = {
     "--t0": st.sampled_from(("0.1", "1e-3", "-1", "nan", "abc")),
     "--ratio": st.sampled_from(("0.3", "0.5", "1.5", "0")),
@@ -536,8 +539,9 @@ _FUZZ_COMMANDS = {
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
-    # equivalence doubles the grid and runs every difference route
-    grids = ("8", "1,8") if command == "equivalence" else ("8", "16", "2,8", "2,16", "3,8", "1,16,6")
+    # equivalence doubles the grid and runs every difference route; n = 32
+    # keeps the default band 8 below n/2
+    grids = ("32", "1,32") if command == "equivalence" else ("8", "16", "2,8", "2,16", "3,8", "1,16,6")
     argv = [command, "--grid", draw(_mutated(grids, ","))]
     flags = {**_FUZZ_FLAGS, **_FUZZ_COMMANDS[command]}
     if command == "equivalence":
@@ -640,7 +644,7 @@ class TestConfigFuzz:
             path.write_text(json.dumps(data))
             argv = [command, "--config", str(path)]
             if command == "equivalence":
-                argv += ["--grid", "1,8"]  # it doubles the grid and runs every difference route
+                argv += ["--grid", "1,32"]  # it doubles the grid and runs every difference route
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli_main(argv)
