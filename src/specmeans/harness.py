@@ -362,8 +362,9 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     """Norm-equivalence study on a reproducible corpus.
 
     Reports the LP-vs-modulus Besov ratio bracket (with its grid-doubling
-    stability factor), classical/Nikolskii/Slobodetskii ratio brackets,
-    and the Liouville-vs-Sobolev quadratic identity at p = 2, s = 1.
+    stability factor), classical/Nikolskii/Slobodetskii ratio brackets
+    (Slobodetskii in 1-D at finite p only), and the Liouville-vs-Sobolev
+    quadratic identity at p = 2, s = 1.
     The corpus band must lie below the grid's Nyquist wavenumber n/2:
     every wavenumber at or above it aliases onto a lower one.
     """
@@ -385,7 +386,8 @@ def run_equivalence(config: ExperimentConfig) -> dict:
         partition = build_partition(gspec)
         params = BesovParams(s, pp, qq)
         ratios = {"modulus_vs_lp": [], "classical_vs_lp": [], "nikolskii_vs_lp": []}
-        if gspec.dimension == 1:
+        slobodetskii = gspec.dimension == 1 and pp != np.inf  # Slobodetskii needs finite p
+        if slobodetskii:
             ratios["slobodetskii_vs_classical"] = []
         for f in fs:
             blp = besov_norm_lp(f, params, partition)
@@ -395,7 +397,7 @@ def run_equivalence(config: ExperimentConfig) -> dict:
             ratios["modulus_vs_lp"].append(bmod / blp)
             ratios["classical_vs_lp"].append(bcl / blp)
             ratios["nikolskii_vs_lp"].append(nik / blp)
-            if gspec.dimension == 1:
+            if slobodetskii:
                 slo = slobodetskii_norm(f, s, pp)
                 ratios["slobodetskii_vs_classical"].append(slo / bcl)
         return {

@@ -11,7 +11,9 @@ reads every step's norm from one autocorrelation of f (Wiener-Khinchin),
 and a cancellation guard recomputes from a positive spectral sum the
 steps where that shortcut could lose more than 1e-12 relative; other p
 sum the stencil in space.  The lattice steps of the modulus and
-classical routes depend only on the grid and are built once per grid.
+classical routes depend only on the grid and are built once per grid;
+a step's length is spacing * sqrt(sum k^2) of its integer step k, so
+equal lattice lengths share one classical radial node.
 """
 
 from __future__ import annotations
@@ -253,9 +255,11 @@ def _l2_difference_sums(values: np.ndarray, steps: np.ndarray, m: int) -> np.nda
     return sums
 
 
-def _radii(spec: GridSpec, steps: np.ndarray) -> np.ndarray:
-    """|y| of each step, rounded exactly as the norm of the float vector."""
-    return np.array([np.linalg.norm(v) for v in spec.spacing * steps], dtype=float)
+def _lengths(spec: GridSpec, steps: np.ndarray) -> np.ndarray:
+    """|y| = spacing * sqrt(sum k^2) of each integer step k: a function of
+    the exact integer squared length, so equal lattice lengths are equal
+    floats."""
+    return spec.spacing * np.sqrt(np.sum(steps * steps, axis=1))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -277,14 +281,14 @@ def _shift_sets(spec: GridSpec, ts) -> tuple:
         steps = np.arange(1, jmax + 1)[:, None]
     else:
         steps = np.indices((2 * jmax + 1,) * dimension).reshape(dimension, -1).T - jmax
-    radii = _radii(spec, steps)
-    keep = (radii > 0) & (radii < max(ts))
-    steps, radii = steps[keep], radii[keep]
-    order = np.lexsort(tuple(steps[:, ::-1].T) + (np.rint(radii / spec.spacing),))
-    steps, radii = steps[order], radii[order]
+    lengths = _lengths(spec, steps)
+    keep = (lengths > 0) & (lengths < max(ts))
+    steps, lengths = steps[keep], lengths[keep]
+    order = np.lexsort(tuple(steps[:, ::-1].T) + (np.rint(lengths / spec.spacing),))
+    steps, lengths = steps[order], lengths[order]
     sets = []
     for t in ts:
-        members = np.flatnonzero(radii < t)
+        members = np.flatnonzero(lengths < t)
         if dimension > 1 and members.size > SHIFT_CAP:
             members = members[:: members.size // (SHIFT_CAP // 2)]
         sets.append(members)
@@ -377,8 +381,8 @@ def _difference_h_set(spec: GridSpec) -> tuple:
     [spacing, L/4], with per-node log weights; grid-only, so built once
     per grid.
 
-    Returns (steps, magnitudes, weight): read-only integer steps of shape
-    (count, dimension), a tuple of their lengths, and the per-node weight.
+    Returns (steps, lengths, weight): read-only integer steps of shape
+    (count, dimension), their read-only lengths, and the per-node weight.
     1-D takes positive steps only; the factor 2 surface measure of S^0
     covers both signs.
     """
@@ -396,32 +400,30 @@ def _difference_h_set(spec: GridSpec) -> tuple:
     steps = np.rint(mags[:, None, None] * dirs / h).astype(int).reshape(-1, spec.dimension)
     steps = steps[np.any(steps != 0, axis=1)]
     steps = steps[np.sort(np.unique(steps, axis=0, return_index=True)[1])]
-    radii = _radii(spec, steps)
-    return _read_only(steps[radii <= hi]), tuple(radii[radii <= hi].tolist()), dtheta
+    lengths = _lengths(spec, steps)
+    inside = lengths <= hi
+    return _read_only(steps[inside]), _read_only(lengths[inside]), dtheta
 
 
 def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
     """Sobolev part of order [s]^- plus the second-difference seminorm
-    over lattice steps |h| <= L/4: the L_q(dh/|h|) integral, at q = inf
+    over lattice steps |h| <= L/4: the L_q(dh/|h|) integral, a radial
+    log-trapezoid whose nodes are the distinct step lengths, at q = inf
     the sup of |h|^{-frac} times the difference norm."""
     k, frac = _split_order(params.s)
     if params.p == np.inf and params.q != np.inf:
         raise ValueError("classical route needs finite p unless q = inf")
     total = sobolev_norm(f, k, params.p)
-    steps, mags, w = _difference_h_set(f.spec)
+    steps, lengths, w = _difference_h_set(f.spec)
+    nodes, node_of = np.unique(lengths, return_inverse=True)  # the distinct lengths
     for alpha in _multi_indices(f.spec.dimension, k):
         g = spectral_derivative(f, alpha) if k else f
-        vals = difference_norms(g, steps, 2, params.p).tolist()
+        weighted = lengths ** (-frac) * difference_norms(g, steps, 2, params.p)
         if params.q == np.inf:
-            total += max((mag ** (-frac) * val for mag, val in zip(mags, vals)), default=0.0)
-            continue
-        # group nodes by magnitude for the radial log-trapezoid
-        by_mag = {}
-        for mag, val in zip(mags, vals):
-            by_mag.setdefault(mag, []).append(w * (mag ** (-frac) * val) ** params.q)
-        radii = np.array(sorted(by_mag))
-        radial = np.array([sum(by_mag[r]) for r in radii])
-        total += _log_grid_integral(radii, radial) ** (1.0 / params.q)
+            total += float(np.max(weighted, initial=0.0))
+        else:
+            radial = np.bincount(node_of, weights=w * weighted**params.q)
+            total += _log_grid_integral(nodes, radial) ** (1.0 / params.q)
     return total
 
 
@@ -431,11 +433,14 @@ def nikolskii_norm(f: GridFunction, s: float, p: float) -> float:
 
 
 def slobodetskii_norm(f: GridFunction, s: float, p: float) -> float:
-    """Double-integral fractional seminorm; 1-D, noninteger s only."""
+    """Double-integral fractional seminorm; 1-D, noninteger s and finite
+    p only."""
     if f.spec.dimension != 1:
         raise ValueError("Slobodetskii norm implemented for N = 1 only")
     if s <= 0 or s == int(s):
         raise ValueError("Slobodetskii order must be positive and noninteger")
+    if p == np.inf:
+        raise ValueError("Slobodetskii norm needs finite p")
     k = int(math.floor(s))
     frac = s - k
     total = sobolev_norm(f, k, p)
@@ -485,6 +490,8 @@ class NormSpec:
             raise ValueError(f"{self.kind} fields must be numbers")
         if self.kind == "sobolev" and not (self.s >= 0 and float(self.s).is_integer()):
             raise ValueError(f"sobolev order must be a whole number >= 0, got {self.s:g}")
+        if self.kind == "slobodetskii" and self.p == math.inf:
+            raise ValueError("slobodetskii needs finite p, got inf")
 
     def label(self) -> str:
         values = ":".join(f"{getattr(self, name):g}" for name in _NORM_FIELDS[self.kind])

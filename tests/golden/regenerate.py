@@ -9,7 +9,10 @@ compares.  The cases are the CLI jobs of the benchmark's three
 workloads, shrunk to n <= 32, plus distribution sweeps with p = 3, a
 window and a density, every norm kind, and a few rejected inputs.  A
 diff of `cli.json` after regenerating is a change of CLI output:
-review it before committing.
+review it before committing.  The script prints every case it adds,
+removes or changes, each change with the largest relative change of
+any number in the case and where it is (inf: something other than a
+number changed).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -75,6 +79,7 @@ CASES = {
     "norm-2d-modulus": (_norm("2,16", "random_bandlimited:1:6", "besov:0.7:2:2", "--via", "modulus"), None),
     "norm-2d-classical": (_norm("2,32", "random_bandlimited:1:6", "besov:0.7:2:2", "--via", "classical"), None),
     "norm-2d-nikolskii": (_norm("2,32", "random_bandlimited:1:6", "nikolskii:0.7:2"), None),
+    "norm-3d-classical": (_norm("3,16", "bump", "classical_besov:0.7:2:2"), None),
     # every norm kind
     "norm-lp": (_norm("32", "fractional:1.5:1", "lp:3"), None),
     "norm-liouville": (_norm("32", "fractional:1.5:1", "liouville:-0.5:2"), None),
@@ -103,6 +108,7 @@ CASES = {
     "reject-corpus-size": (["conditions", "--config", "{config}"], {"corpus_size": 10}),
     "reject-t": (["apply", "--grid", "16", "--t", "nan"], None),
     "reject-huge-t0": (["converge", "--config", "{config}"], {"t0": 10**400}),
+    "reject-slobodetskii-inf": (_norm("64", "bump", "slobodetskii:0.5:inf"), None),
 }
 
 
@@ -136,7 +142,41 @@ def run_case(name: str) -> dict:
     return {"exit": code, "stderr": lines[-1] if lines else "", "stdout": _parse(out.getvalue())}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _changes(old, new, path: str):
+    """(relative change, path) for every number that differs between two
+    recorded values, and (inf, path) wherever they differ otherwise."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            yield from _changes(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _changes(a, b, f"{path}[{i}]")
+    elif _is_number(old) and _is_number(new):
+        if old != new and not (math.isnan(old) and math.isnan(new)):
+            yield (abs(new - old) / abs(old) if old and math.isfinite(old) else math.inf), path
+    elif old != new:
+        yield math.inf, path
+
+
+def corpus_diff(old: dict, new: dict) -> list:
+    """One line per case added, removed or changed between two corpora."""
+    lines = [f"added {name}" for name in new if name not in old]
+    lines += [f"removed {name}" for name in old if name not in new]
+    for name in new:
+        worst = max(_changes(old[name], new[name], name), default=None) if name in old else None
+        if worst is not None:
+            lines.append(f"changed {name}: largest relative change {worst[0]:.3g} at {worst[1]}")
+    return lines
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {name: {"argv": CASES[name][0], "config": CASES[name][1], **run_case(name)} for name in CASES}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    for line in corpus_diff(previous, golden):
+        print(line)
     print(f"wrote {len(golden)} cases to {GOLDEN}")

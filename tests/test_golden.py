@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from golden.regenerate import CASES, GOLDEN, run_case
+from golden.regenerate import CASES, GOLDEN, corpus_diff, run_case
 
 CORPUS = json.loads(GOLDEN.read_text())
 
@@ -39,3 +39,16 @@ def test_cli_output_matches_golden(name):
 def test_corpus_is_the_case_list():
     recorded = {name: [case["argv"], case["config"]] for name, case in CORPUS.items()}
     assert recorded == {name: list(case) for name, case in CASES.items()}
+
+
+def test_corpus_diff_names_each_moved_case():
+    old = {"kept": {"stdout": {"v": [1.0, 2.0]}}, "moved": {"stdout": {"v": [1.0, 2.0]}},
+           "relabelled": {"stdout": {"v": "a"}}, "gone": {}}
+    new = {"kept": {"stdout": {"v": [1.0, 2.0]}}, "moved": {"stdout": {"v": [1.001, 2.5]}},
+           "relabelled": {"stdout": {"v": "b"}}, "new": {}}
+    assert corpus_diff(old, new) == [
+        "added new",
+        "removed gone",
+        "changed moved: largest relative change 0.25 at moved.stdout.v[1]",
+        "changed relabelled: largest relative change inf at relabelled.stdout.v",
+    ]

@@ -219,6 +219,12 @@ class TestEquivalence:
         assert lio["min"] == pytest.approx(1.0, rel=1e-10)
         assert lio["max"] == pytest.approx(1.0, rel=1e-10)
 
+    def test_no_slobodetskii_bracket_at_p_inf(self):
+        config = ExperimentConfig(points_per_axis=16, band=3, space="besov:0.7:inf:2")
+        res = run_equivalence(config)
+        assert "slobodetskii_vs_classical" not in res["bracket"]
+        assert "slobodetskii_vs_classical" not in res["bracket_refined"]
+
     def test_small_corpus_rejected(self):
         with pytest.raises(ValueError, match="corpus_size"):
             ExperimentConfig(corpus_size=5)
@@ -377,6 +383,7 @@ class TestCLI:
             (["apply", "--grid", "16", "--t", "inf"], "t must be"),
             (["equivalence", "--grid", "8", "--config", "{band_above_nyquist}"], "band"),
             (["equivalence", "--grid", "16"], "band"),  # the default band 8 is n/2 here
+            (["norm", "--grid", "64", "--signal", "bump", "--space", "slobodetskii:0.5:inf"], "space"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):

@@ -210,6 +210,8 @@ class TestIntegerOrderNorms:
         f1 = trig_signal(GridSpec(1, 64))
         with pytest.raises(ValueError):
             slobodetskii_norm(f1, 1.0, 2)
+        with pytest.raises(ValueError, match="finite p"):
+            slobodetskii_norm(f1, 0.5, np.inf)
 
     def test_slobodetskii_single_mode_oracle(self):
         # seminorm of e^{ikx}: double integral with |e^{iky}-1|^p kernel;
@@ -326,7 +328,9 @@ def reference_shifts(spec, t):
 
 def reference_h_set(spec):
     """(vector, |vector|, weight) per quadrature step, magnitudes
-    log-spaced in [h, L/4] along 64 (2-D) or 128 (3-D) directions."""
+    log-spaced in [h, L/4] along 64 (2-D) or 128 (3-D) directions; each
+    |vector| is h * sqrt(sum k^2) of its integer step k, so steps of equal
+    lattice length, such as (3, 4) and (5, 0), have equal magnitudes."""
     h, hi = spec.spacing, spec.period / 4.0
     if spec.dimension == 1:
         dirs, weight = [np.array([1.0])], 2.0
@@ -341,7 +345,7 @@ def reference_h_set(spec):
         for d in dirs:
             steps = tuple(int(round(r * di / h)) for di in d)
             vec = h * np.array(steps, dtype=float)
-            mag = float(np.linalg.norm(vec))
+            mag = h * math.sqrt(sum(k * k for k in steps))
             if any(steps) and mag <= hi and steps not in seen:
                 seen.add(steps)
                 out.append((vec, mag, weight))
@@ -431,7 +435,7 @@ class TestDifferenceKernel:
         with pytest.raises(ValueError):
             difference_norms(f, np.array([[1, 2]]), 0, 2.0)
 
-    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (2, 32), (3, 8), (3, 16)])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (2, 32), (2, 64), (3, 8), (3, 16)])
     def test_shift_rules_match_reference(self, dim, n):
         # every t node's modulus set, and the h-quadrature steps in order
         spec = GridSpec(dim, n)
@@ -448,12 +452,14 @@ class TestDifferenceKernel:
         steps, mags, weight = spaces._difference_h_set(spec)
         expected = reference_h_set(spec)
         assert list(map(tuple, steps.tolist())) == lattice(v for v, _, _ in expected)
-        assert list(mags) == [mag for _, mag, _ in expected]
+        assert mags.tolist() == [mag for _, mag, _ in expected]
         assert all(w == weight for _, _, w in expected)
+        # one radial node per distinct squared length
+        assert np.unique(mags).size == np.unique(np.sum(steps * steps, axis=1)).size
         # built once per grid and shared read-only
         assert spaces._modulus_shifts(spec) is spaces._modulus_shifts(GridSpec(dim, n))
         assert spaces._difference_h_set(spec) is spaces._difference_h_set(GridSpec(dim, n))
-        assert not any(a.flags.writeable for a in (ts, steps, *sets))
+        assert not any(a.flags.writeable for a in (ts, steps, mags, *sets))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -483,3 +489,9 @@ class TestDifferenceKernel:
             assert same(classical_besov_norm(f, BesovParams(0.7, p, 2.0)), reference_classical(
                 f, 0.7, p, 2.0
             ))
+
+    @pytest.mark.parametrize("grid", [(2, 64), (3, 16)])
+    def test_classical_matches_reference_where_lengths_repeat(self, grid):
+        # grids where distinct steps such as (3, 4) and (5, 0) share a length
+        f = trig_signal(GridSpec(*grid), seed=3, kmax=4)
+        assert classical_besov_norm(f, BesovParams(0.7, 3.0, 2.0)) == reference_classical(f, 0.7, 3.0, 2.0)
