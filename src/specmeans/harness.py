@@ -345,15 +345,22 @@ def trig_corpus(spec: GridSpec, size: int, band: int, seed: int) -> list:
     """Real trigonometric polynomials reproducible across grid
     refinements (coefficients depend only on the seed, not on n)."""
     rng = np.random.default_rng(seed)
-    x = spec.meshgrid()
+    x = spec.axis_points()
+    # cos(w x_d) and sin(w x_d) per wavenumber k and axis d, shaped to
+    # vary along axis d only: the numbers of the full mesh, computed once
+    # per corpus
+    tables = []
+    for k in range(1, band + 1):
+        w = 2.0 * np.pi * k / spec.period
+        for d in range(spec.dimension):
+            shape = (-1,) + (1,) * (spec.dimension - 1 - d)
+            tables.append((np.cos(w * x).reshape(shape), np.sin(w * x).reshape(shape)))
     out = []
     for _ in range(size):
         vals = np.zeros(spec.shape)
-        for k in range(1, band + 1):
-            for d in range(spec.dimension):
-                a, b = rng.normal(size=2)
-                w = 2.0 * np.pi * k / spec.period
-                vals = vals + a * np.cos(w * x[d]) + b * np.sin(w * x[d])
+        for cos, sin in tables:
+            a, b = rng.normal(size=2)
+            vals = vals + a * cos + b * sin
         out.append(GridFunction(spec, vals))
     return out
 
@@ -426,7 +433,10 @@ def run_equivalence(config: ExperimentConfig) -> dict:
             "min": float(np.min(lio_ratios)),
             "max": float(np.max(lio_ratios)),
         },
-        "parameters": {"s": s, "p": pp, "q": qq, "corpus_size": config.corpus_size},
+        "parameters": {
+            "s": s, "p": pp, "q": qq, "corpus_size": config.corpus_size,
+            "band": int(config.band), "seed": config.seed,
+        },
     }
 
 

@@ -13,7 +13,10 @@ steps where that shortcut could lose more than 1e-12 relative; other p
 sum the stencil in space.  The lattice steps of the modulus and
 classical routes depend only on the grid and are built once per grid;
 a step's length is spacing * sqrt(sum k^2) of its integer step k, so
-equal lattice lengths share one classical radial node.
+equal lattice lengths share one classical radial node.  The modulus
+shift sets are cached flat, as one array of member indices with each
+set's offset into it, so every omega(t) of a norm comes from one
+reduction.
 """
 
 from __future__ import annotations
@@ -270,10 +273,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _shift_sets(spec: GridSpec, ts) -> tuple:
     """Lattice shifts with 0 < |y| < t for every t in `ts`.
 
-    Returns the integer steps of the shifts in some set, sorted by
-    (rounded |y| / spacing, y), and per t the indices of its set.  1-D
-    sets are complete; above SHIFT_CAP shifts, 2-D and 3-D sets keep
-    every (count // (SHIFT_CAP / 2))-th shift of that order.
+    Returns (steps, members, starts): the integer steps of the shifts in
+    some set, sorted by (rounded |y| / spacing, y); the indices into
+    `steps` of every set, concatenated in the order of `ts`; and the
+    offset in `members` where each set starts (each set runs to the next
+    offset, the last to the end).  1-D sets are complete; above
+    SHIFT_CAP shifts, 2-D and 3-D sets keep every (count // (SHIFT_CAP /
+    2))-th shift of that order.
     """
     dimension = spec.dimension
     jmax = int(math.ceil(max(ts) / spec.spacing)) + 1
@@ -292,23 +298,31 @@ def _shift_sets(spec: GridSpec, ts) -> tuple:
         if dimension > 1 and members.size > SHIFT_CAP:
             members = members[:: members.size // (SHIFT_CAP // 2)]
         sets.append(members)
-    used = np.unique(np.concatenate(sets))
-    return steps[used], [np.searchsorted(used, members) for members in sets]
+    starts = np.cumsum([0] + [chunk.size for chunk in sets[:-1]])
+    used, members = np.unique(np.concatenate(sets), return_inverse=True)
+    return steps[used], members, starts
 
 
 @lru_cache(maxsize=64)
 def _modulus_shifts(spec: GridSpec) -> tuple:
-    """(t nodes, steps, shift sets) of the modulus route's log-trapezoid:
+    """(t nodes, steps, members, starts) of the modulus route's
+    log-trapezoid, the shift sets in the flat form of `_shift_sets`:
     grid-only, so built once per grid, as read-only arrays."""
     ts = _log_nodes(spec.spacing, spec.period / 2.0)
-    steps, sets = _shift_sets(spec, ts)
-    return _read_only(ts), _read_only(steps), tuple(map(_read_only, sets))
+    return tuple(map(_read_only, (ts, *_shift_sets(spec, ts))))
 
 
-def _moduli(f: GridFunction, steps: np.ndarray, sets, m: int, p: float) -> np.ndarray:
-    """omega(t) per shift set: each distinct shift is evaluated once."""
-    norms = difference_norms(f, steps, m, p)
-    return np.array([np.max(norms[members], initial=0.0) for members in sets])
+def _moduli(
+    f: GridFunction, steps: np.ndarray, members: np.ndarray, starts: np.ndarray, m: int, p: float
+) -> np.ndarray:
+    """omega(t) per shift set, the sets in the flat form of `_shift_sets`:
+    each distinct shift is evaluated once, every set is reduced by one
+    `np.maximum.reduceat`, and an empty set gives 0."""
+    values = difference_norms(f, steps, m, p)[members]
+    filled = starts < np.append(starts[1:], members.size)
+    moduli = np.zeros(starts.size)
+    moduli[filled] = np.maximum.reduceat(values, starts[filled])
+    return moduli
 
 
 def modulus_of_continuity(f: GridFunction, t: float, m: int, p: float) -> float:
@@ -338,8 +352,8 @@ def besov_norm_modulus(f: GridFunction, params: BesovParams, m: int) -> float:
     if not 0 < s < m:
         raise ValueError("modulus route needs 0 < s < m")
     spec = f.spec
-    ts, steps, sets = _modulus_shifts(spec)
-    weighted = ts ** (-s) * _moduli(f, steps, sets, m, params.p)
+    ts, *sets = _modulus_shifts(spec)
+    weighted = ts ** (-s) * _moduli(f, *sets, m, params.p)
     if params.q == np.inf:
         term = float(np.max(weighted))
     else:
@@ -365,11 +379,12 @@ def _multi_indices(dimension: int, total: int):
 
 
 def sobolev_norm(f: GridFunction, m: int, p: float) -> float:
-    """Sum of L_p norms of all spectral derivatives of order <= m."""
+    """Sum of L_p norms of all spectral derivatives of order <= m; the
+    order-0 term is ||f||_p itself, with no transform."""
     if m < 0 or m != int(m):
         raise ValueError("Sobolev order must be a nonnegative integer")
-    total = 0.0
-    for order in range(int(m) + 1):
+    total = lp_norm(f, p)
+    for order in range(1, int(m) + 1):
         for alpha in _multi_indices(f.spec.dimension, order):
             total += lp_norm(spectral_derivative(f, alpha), p)
     return total
@@ -381,10 +396,11 @@ def _difference_h_set(spec: GridSpec) -> tuple:
     [spacing, L/4], with per-node log weights; grid-only, so built once
     per grid.
 
-    Returns (steps, lengths, weight): read-only integer steps of shape
-    (count, dimension), their read-only lengths, and the per-node weight.
-    1-D takes positive steps only; the factor 2 surface measure of S^0
-    covers both signs.
+    Returns (steps, lengths, nodes, node_of, weight): read-only integer
+    steps of shape (count, dimension), their read-only lengths, the
+    distinct lengths in increasing order (the radial nodes), each step's
+    index into them, and the per-node weight.  1-D takes positive steps
+    only; the factor 2 surface measure of S^0 covers both signs.
     """
     h, hi = spec.spacing, spec.period / 4.0
     mags = _log_nodes(h, hi)
@@ -402,7 +418,9 @@ def _difference_h_set(spec: GridSpec) -> tuple:
     steps = steps[np.sort(np.unique(steps, axis=0, return_index=True)[1])]
     lengths = _lengths(spec, steps)
     inside = lengths <= hi
-    return _read_only(steps[inside]), _read_only(lengths[inside]), dtheta
+    steps, lengths = steps[inside], lengths[inside]
+    nodes, node_of = np.unique(lengths, return_inverse=True)
+    return (*map(_read_only, (steps, lengths, nodes, node_of)), dtheta)
 
 
 def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
@@ -414,8 +432,7 @@ def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
     if params.p == np.inf and params.q != np.inf:
         raise ValueError("classical route needs finite p unless q = inf")
     total = sobolev_norm(f, k, params.p)
-    steps, lengths, w = _difference_h_set(f.spec)
-    nodes, node_of = np.unique(lengths, return_inverse=True)  # the distinct lengths
+    steps, lengths, nodes, node_of, w = _difference_h_set(f.spec)
     for alpha in _multi_indices(f.spec.dimension, k):
         g = spectral_derivative(f, alpha) if k else f
         weighted = lengths ** (-frac) * difference_norms(g, steps, 2, params.p)
@@ -432,9 +449,27 @@ def nikolskii_norm(f: GridFunction, s: float, p: float) -> float:
     return classical_besov_norm(f, BesovParams(s, p, np.inf))
 
 
+@lru_cache(maxsize=2)
+def _slobodetskii_scale(spec: GridSpec, power: float) -> np.ndarray:
+    """|x - x'|^power between the 1-D grid points, inf on the diagonal so
+    that the diagonal cells drop out of the double sum; grid-only, so
+    built once per (grid, power).  Two entries cover the two grids of an
+    `equivalence` run; each holds one n x n array."""
+    x = spec.axis_points()
+    dist = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return _read_only(dist**power)
+
+
 def slobodetskii_norm(f: GridFunction, s: float, p: float) -> float:
     """Double-integral fractional seminorm; 1-D, noninteger s and finite
-    p only."""
+    p only.
+
+    Each term |Delta|^p / |x - x'|^(1 + frac p) is r^p with
+    r = |Delta| / |x - x'|^(frac + 1/p), and the sum is taken as
+    M^p * sum (r / M)^p with M = max r: the largest term is 1, so no
+    term that counts can overflow or underflow at any finite p.
+    """
     if f.spec.dimension != 1:
         raise ValueError("Slobodetskii norm implemented for N = 1 only")
     if s <= 0 or s == int(s):
@@ -445,14 +480,12 @@ def slobodetskii_norm(f: GridFunction, s: float, p: float) -> float:
     frac = s - k
     total = sobolev_norm(f, k, p)
     g = spectral_derivative(f, [k]) if k else f
-    x = f.spec.axis_points()
     vals = g.values
     dx = f.spec.spacing
-    diff = np.abs(vals[:, None] - vals[None, :]) ** p
-    dist = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(dist, np.inf)  # exclude diagonal cells
-    kernel = diff / dist ** (1.0 + frac * p)
-    total += float((np.sum(kernel) * dx * dx) ** (1.0 / p))
+    ratio = np.abs(vals[:, None] - vals[None, :]) / _slobodetskii_scale(f.spec, frac + 1.0 / p)
+    top = np.max(ratio)
+    if top > 0:  # a constant g has seminorm 0
+        total += float(top * (np.sum((ratio / top) ** p) * dx * dx) ** (1.0 / p))
     return total
 
 

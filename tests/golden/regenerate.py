@@ -89,6 +89,7 @@ CASES = {
     "norm-sobolev": (_norm("32", "fractional:1.5:1", "sobolev:2:2"), None),
     "norm-nikolskii": (_norm("32", "fractional:1.5:1", "nikolskii:0.7:3"), None),
     "norm-slobodetskii": (_norm("32", "fractional:1.5:1", "slobodetskii:0.5:2"), None),
+    "norm-slobodetskii-large-p": (_norm("64", "bump", "slobodetskii:0.5:1000"), None),
     # hypotheses
     "t1-gaussian": (_conditions("T1", "gaussian", "--l", "3"), None),
     "t1-gaussian-3d": (_conditions("T1", "gaussian", "--grid", "3,16", "--l", "2", "--beta", "2.5"), None),

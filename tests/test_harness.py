@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from specmeans import (
     ConvergenceReport,
     ExperimentConfig,
+    GridSpec,
     run_conditions,
     run_convergence_distribution,
     run_convergence_function,
@@ -218,6 +220,27 @@ class TestEquivalence:
         lio = res["liouville_vs_sobolev_ratio"]
         assert lio["min"] == pytest.approx(1.0, rel=1e-10)
         assert lio["max"] == pytest.approx(1.0, rel=1e-10)
+        # the parameters name the corpus measured
+        assert res["parameters"] == {"s": 0.7, "p": 2.0, "q": 2.0, "corpus_size": 20, "band": 8, "seed": 0}
+
+    @pytest.mark.parametrize("grid,band", [((1, 64), 8), ((2, 16), 3), ((3, 8), 3)])
+    def test_trig_corpus_matches_mesh_loop(self, grid, band):
+        # the corpus as summed on the full mesh, one cos/sin pair per
+        # (function, wavenumber, axis): equal, not close
+        spec = GridSpec(*grid)
+        rng = np.random.default_rng(5)
+        x = spec.meshgrid()
+        expected = []
+        for _ in range(20):
+            vals = np.zeros(spec.shape)
+            for k in range(1, band + 1):
+                for d in range(spec.dimension):
+                    a, b = rng.normal(size=2)
+                    w = 2.0 * np.pi * k / spec.period
+                    vals = vals + a * np.cos(w * x[d]) + b * np.sin(w * x[d])
+            expected.append(vals)
+        got = harness.trig_corpus(spec, 20, band, 5)
+        assert all(np.array_equal(f.values, want) for f, want in zip(got, expected, strict=True))
 
     def test_no_slobodetskii_bracket_at_p_inf(self):
         config = ExperimentConfig(points_per_axis=16, band=3, space="besov:0.7:inf:2")
@@ -314,6 +337,17 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["space"].startswith("besov_modulus")
         assert payload["value"] > 0
+
+    def test_slobodetskii_large_p_is_finite_json(self, capsys):
+        def no_constant(name):
+            raise ValueError(f"non-finite number {name} in JSON output")
+
+        argv = ["norm", "--grid", "64", "--signal", "bump", "--space", "slobodetskii:0.5:1000"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert out["value"] == pytest.approx(1.7440845194711025, rel=1e-12)
 
     def test_norm_via_on_besov_lp(self, capsys):
         argv = ["norm", "--grid", "32", "--signal", "bump", "--space", "besov_lp:0.5:2:2", "--via", "modulus"]

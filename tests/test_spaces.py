@@ -3,6 +3,7 @@ Sobolev/Slobodetskii norms, and equivalence spot checks."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from specmeans import (
     slobodetskii_norm,
     smooth_window,
     sobolev_norm,
+    spectral_derivative,
 )
 from specmeans import spaces
 
@@ -183,9 +185,19 @@ class TestBesovRoutes:
 
 
 class TestIntegerOrderNorms:
-    def test_sobolev_zero_is_lp(self):
+    def test_sobolev_zero_is_lp(self, monkeypatch):
+        # D^0 f = f: no order-0 transform, here or in the fractional routes
+        def no_transform(*args):
+            raise AssertionError("order-0 spectral derivative")
+
+        monkeypatch.setattr(spaces, "spectral_derivative", no_transform)
         f = trig_signal(GridSpec(1, 128), seed=6)
-        assert sobolev_norm(f, 0, 2) == pytest.approx(lp_norm(f, 2), rel=1e-13)
+        for p in (1.0, 2.0, 3.0, np.inf):
+            assert sobolev_norm(f, 0, p) == lp_norm(f, p)
+            nikolskii_norm(f, 0.7, p)
+            if p != np.inf:
+                classical_besov_norm(f, BesovParams(0.7, p, 2.0))
+                slobodetskii_norm(f, 0.5, p)
 
     def test_sobolev_single_mode(self):
         spec = GridSpec(1, 128)
@@ -228,6 +240,59 @@ class TestIntegerOrderNorms:
         semi = (np.sum(diff / dist ** (1 + s * p)) * dx * dx) ** (1 / p)
         expected = lp_norm(f, p) + semi
         assert slobodetskii_norm(f, s, p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 40.0])
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    @pytest.mark.parametrize("signal", ["bump", "trig"])
+    def test_slobodetskii_matches_plain_sum(self, signal, s, p):
+        # the double sum as it stands, wherever it neither overflows nor
+        # underflows: the scaled sum differs from it by roundoff only
+        spec = GridSpec(1, 64)
+        f = make_signal("bump", spec) if signal == "bump" else trig_signal(spec, seed=4)
+        k = int(s)
+        g = spectral_derivative(f, [k]) if k else f
+        x, dx = spec.axis_points(), spec.spacing
+        diff = np.abs(g.values[:, None] - g.values[None, :]) ** p
+        dist = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(dist, np.inf)
+        kernel = diff / dist ** (1.0 + (s - k) * p)
+        expected = sobolev_norm(f, k, p) + float((np.sum(kernel) * dx * dx) ** (1.0 / p))
+        assert slobodetskii_norm(f, s, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_slobodetskii_of_constant_is_lp(self):
+        # every difference is 0, so there is no largest term to scale by
+        f = GridFunction(GridSpec(1, 64), 2.0 * np.ones(64))
+        for p in (2.0, 1000.0):
+            assert slobodetskii_norm(f, 0.5, p) == lp_norm(f, p)
+
+    @pytest.mark.parametrize(
+        "n,signal,p",
+        [
+            (64, "bump", 1000),  # plain terms overflow and underflow: 0/0
+            (64, "fractional:0.3", 630),  # the largest terms underflow, the sum stays finite
+            (128, "fractional:0.3", 490),
+        ],
+    )
+    def test_slobodetskii_large_p_matches_mpmath(self, n, signal, p):
+        # at large p the plain terms leave the float range, the near ones
+        # (which dominate on a rough signal) first; the scaled sum must
+        # match a 30-digit sum
+        mpmath = pytest.importorskip("mpmath")
+        spec = GridSpec(1, n)
+        f = make_signal(signal, spec)
+        s = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = slobodetskii_norm(f, s, p)
+        x, v = spec.axis_points(), f.values.real
+        with mpmath.workdps(30):
+            total = mpmath.fsum(
+                abs(mpmath.mpf(v[i]) - mpmath.mpf(v[j])) ** p
+                / abs(mpmath.mpf(x[i]) - mpmath.mpf(x[j])) ** (1 + s * p)
+                for i in range(x.size) for j in range(x.size) if i != j
+            )
+            semi = float((total * mpmath.mpf(spec.spacing) ** 2) ** (mpmath.mpf(1) / p))
+        assert math.isclose(got, lp_norm(f, p) + semi, rel_tol=1e-12, abs_tol=0.0)
 
 
 class TestWindowAndDispatch:
@@ -443,23 +508,55 @@ class TestDifferenceKernel:
         def lattice(vectors):
             return [tuple(int(k) for k in np.rint(v / spec.spacing)) for v in vectors]
 
-        ts, steps, sets = spaces._modulus_shifts(spec)
+        ts, steps, members, starts = spaces._modulus_shifts(spec)
         assert ts.tolist() == reference_log_nodes(spec.spacing, spec.period / 2.0).tolist()
-        for t, members in zip(ts, sets):
-            assert sorted(map(tuple, steps[members].tolist())) == sorted(
+        # the flat sets: one offset per t node, each set running to the next
+        assert starts.size == ts.size and starts[0] == 0 and np.all(np.diff(starts) >= 0)
+        for t, chunk in zip(ts, np.split(members, starts[1:])):
+            assert sorted(map(tuple, steps[chunk].tolist())) == sorted(
                 lattice(reference_shifts(spec, t))
             )
-        steps, mags, weight = spaces._difference_h_set(spec)
+        h_steps, mags, nodes, node_of, weight = spaces._difference_h_set(spec)
         expected = reference_h_set(spec)
-        assert list(map(tuple, steps.tolist())) == lattice(v for v, _, _ in expected)
+        assert list(map(tuple, h_steps.tolist())) == lattice(v for v, _, _ in expected)
         assert mags.tolist() == [mag for _, mag, _ in expected]
         assert all(w == weight for _, _, w in expected)
-        # one radial node per distinct squared length
-        assert np.unique(mags).size == np.unique(np.sum(steps * steps, axis=1)).size
+        # one radial node per distinct squared length, each step mapped to its own
+        assert nodes.tolist() == sorted(set(mags.tolist()))
+        assert nodes[node_of].tolist() == mags.tolist()
+        assert nodes.size == np.unique(np.sum(h_steps * h_steps, axis=1)).size
         # built once per grid and shared read-only
         assert spaces._modulus_shifts(spec) is spaces._modulus_shifts(GridSpec(dim, n))
         assert spaces._difference_h_set(spec) is spaces._difference_h_set(GridSpec(dim, n))
-        assert not any(a.flags.writeable for a in (ts, steps, mags, *sets))
+        cached = (ts, steps, members, starts, h_steps, mags, nodes, node_of)
+        assert not any(a.flags.writeable for a in cached)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        grid=st.sampled_from([(1, 32), (2, 16), (2, 32), (3, 8), (3, 16)]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @example(grid=(3, 16), seed=0, data=None)  # subsampled sets, no random ones
+    def test_flat_moduli_match_per_set_max(self, grid, seed, data):
+        # the route's own sets (the first one empty; subsampled above
+        # SHIFT_CAP on (2, 32) and (3, 16)) and random sets, empty ones included
+        spec = GridSpec(*grid)
+        f = trig_signal(spec, seed=seed, kmax=spec.points_per_axis // 4)
+        _, steps, members, starts = spaces._modulus_shifts(spec)
+        sizes = np.diff(np.append(starts, members.size))
+        assert sizes[0] == 0 and sizes.max() <= spaces.SHIFT_CAP
+        sets = np.split(members, starts[1:])
+        if data is not None:
+            index = st.integers(0, len(steps) - 1)
+            sets = [np.array(chunk, dtype=int) for chunk in data.draw(
+                st.lists(st.lists(index, max_size=12), min_size=1, max_size=8)
+            )]
+            members = np.concatenate(sets)
+            starts = np.cumsum([0] + [chunk.size for chunk in sets[:-1]])
+        norms = difference_norms(f, steps, 2, 2.0)
+        expected = [np.max(norms[chunk], initial=0.0) for chunk in sets]
+        assert spaces._moduli(f, steps, members, starts, 2, 2.0).tolist() == expected
 
     @settings(max_examples=25, deadline=None)
     @given(
