@@ -204,19 +204,37 @@ def forward_transform(f: GridFunction) -> SpectrumFunction:
     Exact for band-limited f (lattice exponentials are orthogonal on the
     lattice).
     """
-    spec = f.spec
-    pref = (2.0 * np.pi) ** (-spec.dimension) * spec.cell_volume
-    coeffs = pref * _phase(spec) * np.fft.fftn(f.values)
-    return SpectrumFunction(spec, coeffs)
+    return SpectrumFunction(f.spec, _forward(f.spec, f.values))
 
 
 def inverse_transform(F: SpectrumFunction) -> GridFunction:
     """Frequency sum weighted by the frequency-cell volume; inverse of
     forward_transform on the lattice."""
-    spec = F.spec
-    scale = F.spec.freq_cell_volume * spec.size
-    values = scale * np.fft.ifftn(F.coefficients * _phase(spec))
-    return GridFunction(spec, values)
+    return GridFunction(F.spec, _inverse(F.spec, F.coefficients))
+
+
+def _forward(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """`forward_transform` over the last N axes, so of a stack of
+    functions too."""
+    pref = (2.0 * np.pi) ** (-spec.dimension) * spec.cell_volume
+    return pref * _phase(spec) * np.fft.fftn(values, axes=_axes(spec))
+
+
+def _inverse(spec: GridSpec, coefficients: np.ndarray) -> np.ndarray:
+    """`inverse_transform` over the last N axes, so of a stack of
+    spectra too."""
+    scale = spec.freq_cell_volume * spec.size
+    return scale * np.fft.ifftn(coefficients * _phase(spec), axes=_axes(spec))
+
+
+def _axes(spec: GridSpec) -> tuple:
+    return tuple(range(-spec.dimension, 0))
+
+
+def _parseval(spec: GridSpec) -> float:
+    """W with ||f||_2^2 = W sum_xi |F(xi)|^2 under the transform
+    convention."""
+    return (2.0 * np.pi) ** spec.dimension * spec.freq_cell_volume
 
 
 def lp_norm(f: GridFunction | SpectrumFunction, p: float) -> float:
@@ -229,18 +247,29 @@ def lp_norm(f: GridFunction | SpectrumFunction, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if isinstance(f, SpectrumFunction):
         return spectral_l2_norm(f) if p == 2 else lp_norm(inverse_transform(f), p)
-    mags = np.abs(f.values)
+    return float(_lp_norms(f.spec, f.values[None], p)[0])
+
+
+def _lp_norms(spec: GridSpec, values: np.ndarray, p: float) -> np.ndarray:
+    """The discrete L_p norm of each function of a stack of samples,
+    shape (count,) + spec.shape."""
+    mags = np.abs(values).reshape(len(values), -1)
     if p == np.inf:
-        return float(mags.max())
-    return float((np.sum(mags**p) * f.spec.cell_volume) ** (1.0 / p))
+        return mags.max(axis=1)
+    return _root(np.sum(mags**p, axis=1) * spec.cell_volume, p)
+
+
+def _root(sums: np.ndarray, p: float) -> np.ndarray:
+    """sums ** (1/p) one element at a time, by the C library's pow that
+    float ** float calls, so a stacked norm is the scalar formula's
+    float: numpy's vectorised power rounds some elements differently."""
+    return np.array([s ** (1.0 / p) for s in sums.tolist()])
 
 
 def spectral_l2_norm(F: SpectrumFunction) -> float:
     """L_2 norm of the underlying grid function computed on the spectral
     side (Parseval under the transform convention)."""
-    spec = F.spec
-    weight = (2.0 * np.pi) ** spec.dimension * spec.freq_cell_volume
-    return float(np.sqrt(weight * np.vdot(F.coefficients, F.coefficients).real))
+    return float(np.sqrt(_parseval(F.spec) * np.vdot(F.coefficients, F.coefficients).real))
 
 
 def _parse_spec(field: str, text: str, table: dict, *args):

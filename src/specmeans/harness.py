@@ -14,20 +14,21 @@ from typing import Optional
 import numpy as np
 
 from .distributions import CompactDistribution, PointAtom, distribution_convergence
-from .grid import GridFunction, GridSpec, SpectrumFunction, _parse_spec, forward_transform, lp_norm
-from .multipliers import spectral_derivative, spectral_mean_plan
+from .grid import GridSpec, SpectrumFunction, _lp_norms, _parse_spec, forward_transform
+from .multipliers import bessel_plan, spectral_mean_plan
 from .signals import make_signal
 from .spaces import (
     _NORM_FIELDS,
     NormSpec,
+    _besov_lp_norms,
+    _besov_modulus_norms,
+    _block_norms,
+    _chunk_length,
+    _classical_norms,
+    _slobodetskii_norms,
+    _Stack,
     build_partition,
-    besov_norm_lp,
-    besov_norm_modulus,
-    classical_besov_norm,
-    liouville_norm,
     localized_norm,
-    nikolskii_norm,
-    slobodetskii_norm,
     smooth_window,
     BesovParams,
 )
@@ -341,9 +342,11 @@ def _sweep_report(
     )
 
 
-def trig_corpus(spec: GridSpec, size: int, band: int, seed: int) -> list:
+def trig_corpus(spec: GridSpec, size: int, band: int, seed: int):
     """Real trigonometric polynomials reproducible across grid
-    refinements (coefficients depend only on the seed, not on n)."""
+    refinements (coefficients depend only on the seed, not on n), yielded
+    as stacks of samples, shape (count,) + spec.shape, whose complex
+    counterparts fit in `spaces.STACK_BYTES`."""
     rng = np.random.default_rng(seed)
     x = spec.axis_points()
     # cos(w x_d) and sin(w x_d) per wavenumber k and axis d, shaped to
@@ -355,14 +358,15 @@ def trig_corpus(spec: GridSpec, size: int, band: int, seed: int) -> list:
         for d in range(spec.dimension):
             shape = (-1,) + (1,) * (spec.dimension - 1 - d)
             tables.append((np.cos(w * x).reshape(shape), np.sin(w * x).reshape(shape)))
-    out = []
-    for _ in range(size):
-        vals = np.zeros(spec.shape)
-        for cos, sin in tables:
-            a, b = rng.normal(size=2)
+    draws = rng.normal(size=(size, len(tables), 2))  # (function, table, cos/sin)
+    length = _chunk_length(spec)
+    for start in range(0, size, length):
+        chunk = draws[start:start + length]
+        vals = np.zeros((len(chunk),) + spec.shape)
+        for (cos, sin), ab in zip(tables, chunk.transpose(1, 2, 0)):
+            a, b = ab.reshape((2, -1) + (1,) * spec.dimension)
             vals = vals + a * cos + b * sin
-        out.append(GridFunction(spec, vals))
-    return out
+        yield vals
 
 
 def run_equivalence(config: ExperimentConfig) -> dict:
@@ -374,6 +378,9 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     quadratic identity at p = 2, s = 1.
     The corpus band must lie below the grid's Nyquist wavenumber n/2:
     every wavenumber at or above it aliases onto a lower one.
+    Each grid's corpus is measured a stack at a time: the routes share
+    the stack's one forward transform and, at p = 2, its one
+    autocorrelation.
     """
     spec = config.grid
     if config.band >= spec.points_per_axis / 2:
@@ -385,54 +392,43 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     if norm_spec.kind in ("besov_lp", "besov_modulus"):
         s, pp, qq = norm_spec.s, norm_spec.p, norm_spec.q
 
-    def corpus(gspec: GridSpec) -> list:
-        return trig_corpus(gspec, config.corpus_size, int(config.band), config.seed)
-
-    def brackets(fs: list) -> dict:
-        gspec = fs[0].spec
+    def brackets(gspec: GridSpec, identity: bool) -> dict:
         partition = build_partition(gspec)
         params = BesovParams(s, pp, qq)
         ratios = {"modulus_vs_lp": [], "classical_vs_lp": [], "nikolskii_vs_lp": []}
         slobodetskii = gspec.dimension == 1 and pp != np.inf  # Slobodetskii needs finite p
         if slobodetskii:
             ratios["slobodetskii_vs_classical"] = []
-        for f in fs:
-            blp = besov_norm_lp(f, params, partition)
-            bmod = besov_norm_modulus(f, params, m=2)
-            bcl = classical_besov_norm(f, BesovParams(s, pp, pp))
-            nik = nikolskii_norm(f, s, pp)
-            ratios["modulus_vs_lp"].append(bmod / blp)
+        if identity:
+            ratios["liouville_vs_sobolev"] = []
+        for values in trig_corpus(gspec, config.corpus_size, int(config.band), config.seed):
+            stack = _Stack(gspec, values)
+            blp = _besov_lp_norms(stack, params, partition)
+            bcl, nik = _classical_norms(stack, s, pp, (pp, np.inf))
+            ratios["modulus_vs_lp"].append(_besov_modulus_norms(stack, params, 2) / blp)
             ratios["classical_vs_lp"].append(bcl / blp)
             ratios["nikolskii_vs_lp"].append(nik / blp)
             if slobodetskii:
-                slo = slobodetskii_norm(f, s, pp)
-                ratios["slobodetskii_vs_classical"].append(slo / bcl)
+                ratios["slobodetskii_vs_classical"].append(_slobodetskii_norms(stack, s, pp) / bcl)
+            if identity:
+                # p = 2, s = 1: ||f||^2 + sum_d ||D_d f||^2, the derivatives from the power spectrum
+                lio = _block_norms(stack, bessel_plan(1.0, gspec).values, 2.0)
+                quad = _lp_norms(gspec, values, 2.0) ** 2 + sum(
+                    _block_norms(stack, xi, 2.0) ** 2 for xi in gspec.frequency_grids()
+                )
+                ratios["liouville_vs_sobolev"].append(lio / np.sqrt(quad))
         return {
-            key: {"min": float(np.min(v)), "max": float(np.max(v))}
+            key: {"min": float(np.min(np.concatenate(v))), "max": float(np.max(np.concatenate(v)))}
             for key, v in ratios.items()
         }
 
-    coarse_corpus = corpus(spec)
-    coarse = brackets(coarse_corpus)
-    fine = brackets(corpus(GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period)))
-
-    # Liouville vs Sobolev quadratic identity at p = 2, s = 1
-    axes = np.eye(spec.dimension, dtype=int)
-    lio_ratios = []
-    for f in coarse_corpus:
-        lio = liouville_norm(f, 1.0, 2.0)
-        quad = math.sqrt(
-            lp_norm(f, 2.0) ** 2
-            + sum(lp_norm(spectral_derivative(f, alpha), 2.0) ** 2 for alpha in axes)
-        )
-        lio_ratios.append(lio / quad)
+    coarse = brackets(spec, identity=True)
+    identity = coarse.pop("liouville_vs_sobolev")
+    fine = brackets(GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period), identity=False)
     return {
         "bracket": coarse,
         "bracket_refined": fine,
-        "liouville_vs_sobolev_ratio": {
-            "min": float(np.min(lio_ratios)),
-            "max": float(np.max(lio_ratios)),
-        },
+        "liouville_vs_sobolev_ratio": identity,
         "parameters": {
             "s": s, "p": pp, "q": qq, "corpus_size": config.corpus_size,
             "band": int(config.band), "seed": config.seed,

@@ -6,17 +6,31 @@ modulus-of-continuity Besov equivalent, classical Besov with second
 differences, Sobolev, Slobodetskii (1-D), Nikolskii (the classical
 route at q = inf), and smooth-cutoff localized versions of all of them.
 
+Every route is written once, over a stack of C functions on one grid
+(`_Stack`: samples of shape (C,) + grid shape, or their spectra); a
+public route measures one function as a stack of one.  A stack derives
+its spectrum, power spectrum |F|^2 and autocorrelation once, when a
+route first reads them, so the routes run on one stack share one
+forward transform.  At p = 2 the Littlewood-Paley, Liouville and
+Sobolev blocks are read from the power spectrum by Parseval, with no
+inverse transform; at other p each block is one inverse transform of
+the stack.  Each function's norms are reduced on its own row (one dot,
+sum or scalar root per row), so they do not depend on the stack around
+it.  Callers that measure many functions, such as the equivalence
+study, stack them in chunks whose complex samples fit in STACK_BYTES.
+
 The difference routes share one kernel, `difference_norms`.  At p = 2 it
-reads every step's norm from one autocorrelation of f (Wiener-Khinchin),
-and a cancellation guard recomputes from a positive spectral sum the
-steps where that shortcut could lose more than 1e-12 relative; other p
-sum the stencil in space.  The lattice steps of the modulus and
-classical routes depend only on the grid and are built once per grid;
-a step's length is spacing * sqrt(sum k^2) of its integer step k, so
-equal lattice lengths share one classical radial node.  The modulus
-shift sets are cached flat, as one array of member indices with each
-set's offset into it, so every omega(t) of a norm comes from one
-reduction.
+reads every step's norm from the stack's autocorrelation
+(Wiener-Khinchin), and a cancellation guard recomputes from a positive
+spectral sum the (function, step) pairs where that shortcut could lose
+more than 1e-12 relative, a block of pairs at a time within
+STACK_BYTES; other p sum the stencil in space, over the whole stack one
+step at a time.  The lattice steps of the modulus and classical routes
+depend only on the grid and are built once per grid; a step's length
+is spacing * sqrt(sum k^2) of its integer step k, so equal lattice
+lengths share one classical radial node.  The modulus shift sets are
+cached flat, as one array of member indices with each set's offset
+into it, so every omega(t) of a norm comes from one reduction.
 """
 
 from __future__ import annotations
@@ -25,20 +39,26 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import (
     GridFunction,
     GridSpec,
     SpectrumFunction,
-    forward_transform,
+    _axes,
+    _forward,
+    _inverse,
+    _lp_norms,
+    _parseval,
+    _root,
     inverse_transform,
     lp_norm,
 )
-from .multipliers import bessel_plan, spectral_derivative
+from .multipliers import bessel_plan, derivative_plan
 
 __all__ = [
     "LittlewoodPaleyPartition",
@@ -64,6 +84,7 @@ __all__ = [
 SHIFT_CAP = 512  # 2-D/3-D modulus shift sets above this size are subsampled
 NODES_PER_DECADE = 64  # log-spaced t and |h| quadrature nodes
 GUARD_TOL = 1e-12  # p = 2 steps whose estimated relative error exceeds this are recomputed
+STACK_BYTES = 32 * 2**20  # bytes of complex samples in one chunk of a function stack
 
 
 def _bridge(x: np.ndarray) -> np.ndarray:
@@ -137,23 +158,82 @@ class BesovParams:
             raise ValueError("p and q must be >= 1 (inf allowed)")
 
 
-def _spectrum(f: GridFunction | SpectrumFunction) -> SpectrumFunction:
-    return f if isinstance(f, SpectrumFunction) else forward_transform(f)
-
-
 def _samples(f: GridFunction | SpectrumFunction) -> GridFunction:
     return inverse_transform(f) if isinstance(f, SpectrumFunction) else f
 
 
-def _block_norm(F: SpectrumFunction, multiplier: np.ndarray, p: float) -> float:
-    """L_p norm of the block with spectrum multiplier * F."""
-    return lp_norm(SpectrumFunction(F.spec, multiplier * F.coefficients), p)
+def _chunk_length(spec: GridSpec) -> int:
+    """How many complex sample arrays of the grid fit in STACK_BYTES, and
+    at least one."""
+    return max(1, STACK_BYTES // (16 * spec.size))
+
+
+class _Stack:
+    """C functions on one grid, given by their samples, shape
+    (C,) + spec.shape, or by their spectra.  Each array derived from them
+    is computed once, when a route first reads it, so the routes run on
+    one stack share one forward transform, one power spectrum and one
+    autocorrelation."""
+
+    def __init__(self, spec: GridSpec, values=None, spectrum=None):
+        self.spec = spec
+        if values is not None:
+            self.values = values
+        if spectrum is not None:
+            self.spectrum = spectrum
+
+    @classmethod
+    def of(cls, f: GridFunction | SpectrumFunction) -> "_Stack":
+        """The stack of one function, by its samples or its spectrum."""
+        if isinstance(f, SpectrumFunction):
+            return cls(f.spec, spectrum=f.coefficients[None])
+        return cls(f.spec, values=f.values[None])
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _inverse(self.spec, self.spectrum)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return _forward(self.spec, self.values)
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """|spectrum|^2, one flattened row per function."""
+        return (np.abs(self.spectrum) ** 2).reshape(len(self.spectrum), -1)
+
+    @cached_property
+    def autocorrelation(self) -> np.ndarray:
+        """ifftn of the power: each function's circular autocorrelation
+        sum_x f(x + d) conj f(x), real part, in the units of the power."""
+        return np.fft.ifftn(self.power.reshape(self.spectrum.shape), axes=_axes(self.spec)).real
+
+    def derivative(self, alpha) -> "_Stack":
+        """The stack of the spectral derivatives D^alpha."""
+        return _Stack(self.spec, spectrum=derivative_plan(alpha, self.spec).values * self.spectrum)
+
+
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The dot product of each row with `other` (one vector, or one row
+    each), one BLAS dot per row: unlike a matrix-vector product, a row's
+    result does not depend on how many rows are stacked with it."""
+    return np.matmul(rows[:, None, :], other[..., None])[:, 0, 0]
+
+
+def _block_norms(stack: _Stack, multiplier: np.ndarray, p: float) -> np.ndarray:
+    """L_p norm of the block with spectrum multiplier * spectrum of each
+    function; at p = 2 by Parseval from the power spectrum, with no
+    transform."""
+    spec = stack.spec
+    if p == 2:
+        weight = (np.abs(multiplier) ** 2).reshape(-1)
+        return np.sqrt(_parseval(spec) * _row_dots(stack.power, weight))
+    return _lp_norms(spec, _inverse(spec, multiplier * stack.spectrum), p)
 
 
 def liouville_norm(f: GridFunction | SpectrumFunction, s: float, p: float) -> float:
     """L_p norm of the Bessel-weighted function (order s, any sign)."""
-    F = _spectrum(f)
-    return _block_norm(F, bessel_plan(s, F.spec).values, p)
+    return float(_block_norms(_Stack.of(f), bessel_plan(s, f.spec).values, p)[0])
 
 
 def besov_norm_lp(
@@ -164,18 +244,23 @@ def besov_norm_lp(
     """Littlewood-Paley Besov norm: base block plus the l_q sum of
     2^{sk}-weighted shell norms.  f is transformed once; each block
     costs one inverse transform, none at p = 2."""
-    if partition.spec != f.spec:
+    return float(_besov_lp_norms(_Stack.of(f), params, partition)[0])
+
+
+def _besov_lp_norms(
+    stack: _Stack, params: BesovParams, partition: LittlewoodPaleyPartition
+) -> np.ndarray:
+    if partition.spec != stack.spec:
         raise ValueError("partition grid does not match")
-    F = _spectrum(f)
-    total = _block_norm(F, partition.base_multiplier, params.p)
-    terms = np.array([
-        2.0 ** (params.s * k) * _block_norm(F, partition.shell(k), params.p)
+    total = _block_norms(stack, partition.base_multiplier, params.p)
+    terms = np.stack([
+        2.0 ** (params.s * k) * _block_norms(stack, partition.shell(k), params.p)
         for k in range(1, partition.k_max + 1)
-    ])
+    ], axis=1)
     if params.q == np.inf:
-        total += float(np.max(terms))
+        total += np.max(terms, axis=1)
     else:
-        total += float(np.sum(terms**params.q) ** (1.0 / params.q))
+        total += _root(np.sum(terms**params.q, axis=1), params.q)
     return total
 
 
@@ -198,11 +283,13 @@ def _stencil_weights(m: int) -> list:
 
 
 def _stencil(values: np.ndarray, steps, m: int) -> np.ndarray:
-    """sum_k C(m,k) (-1)^k values(x + k y) for the lattice step y = steps."""
-    acc = np.zeros(values.shape, dtype=complex)
-    for k, weight in enumerate(_stencil_weights(m)):
-        shifted = np.roll(values, tuple(-k * s for s in steps), axis=tuple(range(values.ndim)))
-        acc += weight * shifted
+    """sum_k C(m,k) (-1)^k values(x + k y) for the lattice step y = steps,
+    taken over the last len(steps) axes, so over a stack too."""
+    axes = tuple(range(values.ndim - len(steps), values.ndim))
+    weights = _stencil_weights(m)
+    acc = weights[0] * values
+    for k, weight in enumerate(weights[1:], start=1):
+        acc += weight * np.roll(values, tuple(-k * s for s in steps), axis=axes)
     return acc
 
 
@@ -223,38 +310,78 @@ def difference_norms(f: GridFunction, steps, m: int, p: float) -> np.ndarray:
     steps = np.asarray(steps, dtype=int)
     if steps.ndim != 2 or steps.shape[1] != f.spec.dimension:
         raise ValueError("steps must have shape (count, dimension)")
+    return _difference_norms(_Stack.of(f), steps, m, p)[0]
+
+
+def _difference_norms(stack: _Stack, steps: np.ndarray, m: int, p: float) -> np.ndarray:
+    """`difference_norms` of each function of a stack, shape (C, count)."""
+    spec = stack.spec
     if p == 2:
-        return np.sqrt(f.spec.cell_volume * _l2_difference_sums(f.values, steps, m))
-    return np.array([lp_norm(GridFunction(f.spec, _stencil(f.values, y, m)), p) for y in steps])
+        return np.sqrt(_parseval(spec) * spec.size * _l2_difference_sums(stack, steps, m))
+    norms = np.empty((len(stack.values), len(steps)))
+    for i, y in enumerate(steps):
+        norms[:, i] = _lp_norms(spec, _stencil(stack.values, y, m), p)
+    return norms
 
 
-def _l2_difference_sums(values: np.ndarray, steps: np.ndarray, m: int) -> np.ndarray:
-    """S_y = sum_x |Delta_y^m values(x)|^2 for every row y of `steps`.
+def _l2_difference_sums(stack: _Stack, steps: np.ndarray, m: int) -> np.ndarray:
+    """S_y = sum_xi |F(xi)|^2 (2 sin(pi xi.y / n))^{2m} / n^N for every
+    function f of the stack, F its spectrum, and every row y of `steps`,
+    shape (C, count): by Parseval, ||Delta_y^m f||_2^2 = W n^N S_y, with W
+    the weight of `grid._parseval`.
 
-    With F = fftn(values) and A = ifftn(|F|^2), the circular
-    autocorrelation, S_y = Re sum_d c(d) A(d y mod n) for d = -m..m, where
-    c is the autocorrelation of the stencil weights C(m,k) (-1)^k.  A
-    carries an absolute error of about eps log2(n^N) A(0), the roundoff of
-    transforms log2(n^N) stages deep, so the cancellation in that sum
-    leaves S_y a relative error of about eps log2(n^N) A(0) 4^m / S_y, and
-    the norm sqrt(S_y) half of that.  Steps where the norm's estimate
-    exceeds GUARD_TOL are recomputed from the positive spectral sum
-    sum_xi |F(xi)|^2 (2 sin(pi xi.y / n))^{2m} / n^N, at O(n^N) per step.
+    With A the autocorrelation of f, S_y = Re sum_d c(d) A(d y mod n) for
+    d = -m..m, where c is the autocorrelation of the stencil weights
+    C(m,k) (-1)^k.  A carries an absolute error of about
+    eps log2(n^N) A(0), the roundoff of transforms log2(n^N) stages deep,
+    so the cancellation in that sum leaves S_y a relative error of about
+    eps log2(n^N) A(0) 4^m / S_y, and the norm sqrt(S_y) half of that.
+    The (function, step) pairs where the norm's estimate, from that
+    function's own A(0), exceeds GUARD_TOL are recomputed by
+    `_exact_difference_sums`.
     """
     weights = np.array(_stencil_weights(m), dtype=float)
-    n = values.shape[0]
-    power = np.abs(np.fft.fftn(values)) ** 2
-    auto = np.fft.ifftn(power).real
+    n = stack.spec.points_per_axis
+    auto = stack.autocorrelation
     lags = np.arange(-m, m + 1)
     at = (lags[:, None, None] * steps[None, :, :]) % n  # (lag, step, axis) indices into A
-    sums = np.correlate(weights, weights, mode="full") @ auto[tuple(np.moveaxis(at, -1, 0))]
-    error = np.finfo(float).eps * np.log2(values.size) * auto.flat[0] * 4.0**m
-    unsure = np.flatnonzero(error > 2.0 * GUARD_TOL * sums)
-    if unsure.size:
-        response = (2.0 * np.sin(np.pi * np.arange(n) / n)) ** (2 * m)  # at xi.y = 0..n-1 mod n
-        modes = np.indices(values.shape).reshape(values.ndim, -1)
-        for i in unsure:
-            sums[i] = power.reshape(-1) @ response[(steps[i] @ modes) % n] / power.size
+    # summed lag by lag, elementwise: each function's sums do not depend on the stack around it
+    sums = sum(
+        c * auto[(slice(None),) + tuple(lag.T)]
+        for c, lag in zip(np.correlate(weights, weights, mode="full"), at)
+    )
+    origin = auto.reshape(len(auto), -1)[:, 0]  # A(0) of each function
+    error = np.finfo(float).eps * np.log2(stack.spec.size) * origin * 4.0**m
+    unsure = np.nonzero(error[:, None] > 2.0 * GUARD_TOL * sums)
+    if unsure[0].size:
+        sums[unsure] = _exact_difference_sums(stack, steps, m, *unsure)
+    return sums
+
+
+def _exact_difference_sums(
+    stack: _Stack, steps: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """S_y of function rows[i] at step steps[cols[i]], for each i, summed
+    as it is defined, a sum of positive terms: one product per block of
+    pairs, each block's response and power rows within STACK_BYTES."""
+    spec = stack.spec
+    n = spec.points_per_axis
+    pair_steps = steps[cols]
+    # the response (2 sin(pi t / n))^{2m}, periodic in t, tabulated at every
+    # t = xi.y of the modes 0 <= xi_d < n, which all have |t| <= reach
+    reach = (n - 1) * int(np.max(np.sum(np.abs(pair_steps), axis=1)))
+    response = (2.0 * np.sin(np.pi * np.arange(n) / n)) ** (2 * m)
+    table = response[np.arange(-reach, reach + 1) % n]
+    sums = np.empty(rows.size)
+    block = _chunk_length(spec)
+    for start in range(0, rows.size, block):
+        pick = slice(start, start + block)
+        responses = np.empty((len(pair_steps[pick]), spec.size))
+        for out, y in zip(responses, pair_steps[pick]):
+            # table[reach + xi.y] over the modes xi: a strided view of the table
+            strides = tuple((table.itemsize * y).tolist())
+            out.reshape(spec.shape)[...] = as_strided(table[reach:], spec.shape, strides, writeable=False)
+        sums[pick] = _row_dots(stack.power[rows[pick]], responses) / spec.size
     return sums
 
 
@@ -312,16 +439,13 @@ def _modulus_shifts(spec: GridSpec) -> tuple:
     return tuple(map(_read_only, (ts, *_shift_sets(spec, ts))))
 
 
-def _moduli(
-    f: GridFunction, steps: np.ndarray, members: np.ndarray, starts: np.ndarray, m: int, p: float
-) -> np.ndarray:
-    """omega(t) per shift set, the sets in the flat form of `_shift_sets`:
-    each distinct shift is evaluated once, every set is reduced by one
-    `np.maximum.reduceat`, and an empty set gives 0."""
-    values = difference_norms(f, steps, m, p)[members]
+def _moduli(norms: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """omega(t) per shift set from the norms of the steps (last axis),
+    the sets in the flat form of `_shift_sets`: every set is reduced by
+    one `np.maximum.reduceat`, and an empty set gives 0."""
     filled = starts < np.append(starts[1:], members.size)
-    moduli = np.zeros(starts.size)
-    moduli[filled] = np.maximum.reduceat(values, starts[filled])
+    moduli = np.zeros(norms.shape[:-1] + starts.shape)
+    moduli[..., filled] = np.maximum.reduceat(norms[..., members], starts[filled], axis=-1)
     return moduli
 
 
@@ -331,12 +455,14 @@ def modulus_of_continuity(f: GridFunction, t: float, m: int, p: float) -> float:
     if t < f.spec.spacing or t <= 0:
         warnings.warn("t below grid spacing; modulus reported as 0", stacklevel=2)
         return 0.0
-    return float(_moduli(f, *_shift_sets(f.spec, [t]), m, p)[0])
+    steps, members, starts = _shift_sets(f.spec, [t])
+    return float(_moduli(difference_norms(f, steps, m, p), members, starts)[0])
 
 
-def _log_grid_integral(ts: np.ndarray, gs: np.ndarray) -> float:
-    """Trapezoid rule for int g(t) dt/t on the given nodes."""
-    return float(np.trapezoid(gs, np.log(ts)))
+def _log_grid_integral(ts: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Trapezoid rule for int g(t) dt/t on the given nodes, along the
+    last axis of gs."""
+    return np.trapezoid(gs, np.log(ts), axis=-1)
 
 
 def _log_nodes(lo: float, hi: float) -> np.ndarray:
@@ -348,17 +474,21 @@ def _log_nodes(lo: float, hi: float) -> np.ndarray:
 def besov_norm_modulus(f: GridFunction, params: BesovParams, m: int) -> float:
     """Modulus-of-continuity Besov norm: ||f||_p plus, once per axis, the
     L_q(dt/t) norm of t^{-s} omega_p^m(t, f)."""
+    return float(_besov_modulus_norms(_Stack.of(f), params, m)[0])
+
+
+def _besov_modulus_norms(stack: _Stack, params: BesovParams, m: int) -> np.ndarray:
     s = params.s
     if not 0 < s < m:
         raise ValueError("modulus route needs 0 < s < m")
-    spec = f.spec
-    ts, *sets = _modulus_shifts(spec)
-    weighted = ts ** (-s) * _moduli(f, *sets, m, params.p)
+    spec = stack.spec
+    ts, steps, members, starts = _modulus_shifts(spec)
+    weighted = ts ** (-s) * _moduli(_difference_norms(stack, steps, m, params.p), members, starts)
     if params.q == np.inf:
-        term = float(np.max(weighted))
+        term = np.max(weighted, axis=1)
     else:
-        term = _log_grid_integral(ts, weighted**params.q) ** (1.0 / params.q)
-    total = lp_norm(f, params.p)
+        term = _root(_log_grid_integral(ts, weighted**params.q), params.q)
+    total = _lp_norms(spec, stack.values, params.p)
     for _ in range(spec.dimension):  # added in turn: N * term can round differently
         total += term
     return total
@@ -383,10 +513,15 @@ def sobolev_norm(f: GridFunction, m: int, p: float) -> float:
     order-0 term is ||f||_p itself, with no transform."""
     if m < 0 or m != int(m):
         raise ValueError("Sobolev order must be a nonnegative integer")
-    total = lp_norm(f, p)
-    for order in range(1, int(m) + 1):
-        for alpha in _multi_indices(f.spec.dimension, order):
-            total += lp_norm(spectral_derivative(f, alpha), p)
+    return float(_sobolev_norms(_Stack.of(f), int(m), p)[0])
+
+
+def _sobolev_norms(stack: _Stack, m: int, p: float) -> np.ndarray:
+    spec = stack.spec
+    total = _lp_norms(spec, stack.values, p)
+    for order in range(1, m + 1):
+        for alpha in _multi_indices(spec.dimension, order):
+            total += _block_norms(stack, derivative_plan(alpha, spec).values, p)
     return total
 
 
@@ -428,20 +563,31 @@ def classical_besov_norm(f: GridFunction, params: BesovParams) -> float:
     over lattice steps |h| <= L/4: the L_q(dh/|h|) integral, a radial
     log-trapezoid whose nodes are the distinct step lengths, at q = inf
     the sup of |h|^{-frac} times the difference norm."""
-    k, frac = _split_order(params.s)
-    if params.p == np.inf and params.q != np.inf:
+    return float(_classical_norms(_Stack.of(f), params.s, params.p, (params.q,))[0, 0])
+
+
+def _classical_norms(stack: _Stack, s: float, p: float, qs: tuple) -> np.ndarray:
+    """`classical_besov_norm` of each function for each q of qs, shape
+    (len(qs), C): every q reduces the same weighted h-step norms."""
+    k, frac = _split_order(s)
+    if p == np.inf and any(q != np.inf for q in qs):
         raise ValueError("classical route needs finite p unless q = inf")
-    total = sobolev_norm(f, k, params.p)
-    steps, lengths, nodes, node_of, w = _difference_h_set(f.spec)
-    for alpha in _multi_indices(f.spec.dimension, k):
-        g = spectral_derivative(f, alpha) if k else f
-        weighted = lengths ** (-frac) * difference_norms(g, steps, 2, params.p)
-        if params.q == np.inf:
-            total += float(np.max(weighted, initial=0.0))
-        else:
-            radial = np.bincount(node_of, weights=w * weighted**params.q)
-            total += _log_grid_integral(nodes, radial) ** (1.0 / params.q)
-    return total
+    spec = stack.spec
+    totals = np.tile(_sobolev_norms(stack, k, p), (len(qs), 1))
+    steps, lengths, nodes, node_of, w = _difference_h_set(spec)
+    for alpha in _multi_indices(spec.dimension, k):
+        g = stack.derivative(alpha) if k else stack
+        weighted = lengths ** (-frac) * _difference_norms(g, steps, 2, p)
+        # each function's steps summed onto its own row of radial nodes, in step order
+        bins = (np.arange(len(weighted))[:, None] * nodes.size + node_of).reshape(-1)
+        for total, q in zip(totals, qs):
+            if q == np.inf:
+                total += np.max(weighted, axis=1, initial=0.0)
+            else:
+                terms = (w * weighted**q).reshape(-1)
+                radial = np.bincount(bins, weights=terms, minlength=len(weighted) * nodes.size)
+                total += _root(_log_grid_integral(nodes, radial.reshape(len(weighted), -1)), q)
+    return totals
 
 
 def nikolskii_norm(f: GridFunction, s: float, p: float) -> float:
@@ -470,7 +616,14 @@ def slobodetskii_norm(f: GridFunction, s: float, p: float) -> float:
     M^p * sum (r / M)^p with M = max r: the largest term is 1, so no
     term that counts can overflow or underflow at any finite p.
     """
-    if f.spec.dimension != 1:
+    return float(_slobodetskii_norms(_Stack.of(f), s, p)[0])
+
+
+def _slobodetskii_norms(stack: _Stack, s: float, p: float) -> np.ndarray:
+    """`slobodetskii_norm` of each function, one double sum at a time:
+    its n x n temporaries are not stacked."""
+    spec = stack.spec
+    if spec.dimension != 1:
         raise ValueError("Slobodetskii norm implemented for N = 1 only")
     if s <= 0 or s == int(s):
         raise ValueError("Slobodetskii order must be positive and noninteger")
@@ -478,14 +631,15 @@ def slobodetskii_norm(f: GridFunction, s: float, p: float) -> float:
         raise ValueError("Slobodetskii norm needs finite p")
     k = int(math.floor(s))
     frac = s - k
-    total = sobolev_norm(f, k, p)
-    g = spectral_derivative(f, [k]) if k else f
-    vals = g.values
-    dx = f.spec.spacing
-    ratio = np.abs(vals[:, None] - vals[None, :]) / _slobodetskii_scale(f.spec, frac + 1.0 / p)
-    top = np.max(ratio)
-    if top > 0:  # a constant g has seminorm 0
-        total += float(top * (np.sum((ratio / top) ** p) * dx * dx) ** (1.0 / p))
+    total = _sobolev_norms(stack, k, p)
+    g = stack.derivative([k]) if k else stack
+    dx = spec.spacing
+    scale = _slobodetskii_scale(spec, frac + 1.0 / p)
+    for i, vals in enumerate(g.values):
+        ratio = np.abs(vals[:, None] - vals[None, :]) / scale
+        top = np.max(ratio)
+        if top > 0:  # a constant g has seminorm 0
+            total[i] += float(top * (np.sum((ratio / top) ** p) * dx * dx) ** (1.0 / p))
     return total
 
 

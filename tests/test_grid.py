@@ -124,6 +124,17 @@ class TestLpNorm:
             spectral = spectral_l2_norm(forward_transform(f))
             assert abs(direct - spectral) / direct < 1e-10
 
+    @pytest.mark.parametrize("grid", [(1, 32), (2, 16), (3, 8)])
+    def test_matches_scalar_formula(self, grid):
+        # the stacked norms take the root with the scalar pow, as
+        # (sum |f|^p h^N) ** (1/p) does on a float: equal, not close
+        spec = GridSpec(*grid)
+        for seed in range(40):
+            f = random_field(spec, seed=seed)
+            for p in (1.5, 2.0, 3.0, 7.0):
+                mags = np.abs(f.values)
+                assert lp_norm(f, p) == float((np.sum(mags**p) * spec.cell_volume) ** (1.0 / p))
+
     def test_homogeneity_and_triangle(self):
         spec = GridSpec(1, 32)
         rng = np.random.default_rng(11)

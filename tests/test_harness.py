@@ -19,7 +19,10 @@ from hypothesis import strategies as st
 from specmeans import (
     ConvergenceReport,
     ExperimentConfig,
+    GridFunction,
     GridSpec,
+    lp_norm,
+    spectral_derivative,
     run_conditions,
     run_convergence_distribution,
     run_convergence_function,
@@ -209,6 +212,74 @@ class TestConvergenceDistribution:
         assert report == run_convergence_distribution(delta)
 
 
+def mesh_loop_corpus(spec, size, band, seed):
+    """The equivalence corpus one function at a time, each summed on the
+    full mesh with one cos/sin pair per (wavenumber, axis)."""
+    rng = np.random.default_rng(seed)
+    x = spec.meshgrid()
+    corpus = []
+    for _ in range(size):
+        vals = np.zeros(spec.shape)
+        for k in range(1, band + 1):
+            for d in range(spec.dimension):
+                a, b = rng.normal(size=2)
+                w = 2.0 * np.pi * k / spec.period
+                vals = vals + a * np.cos(w * x[d]) + b * np.sin(w * x[d])
+        corpus.append(vals)
+    return np.array(corpus)
+
+
+def flatten(report, prefix=""):
+    """{"a/b": number} for every number of a nested report."""
+    flat = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            flat.update(flatten(value, f"{prefix}{key}/"))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def reference_equivalence(config):
+    """`run_equivalence` as a loop over corpus functions, each measured
+    by the public single-function routes."""
+    s, p, q = config.norm_spec.s, config.norm_spec.p, config.norm_spec.q
+    spec = config.grid
+
+    def brackets(gspec):
+        partition = spaces.build_partition(gspec)
+        ratios = {"modulus_vs_lp": [], "classical_vs_lp": [], "nikolskii_vs_lp": []}
+        if gspec.dimension == 1 and p != math.inf:
+            ratios["slobodetskii_vs_classical"] = []
+        identity = []
+        for values in mesh_loop_corpus(gspec, config.corpus_size, int(config.band), config.seed):
+            f = GridFunction(gspec, values)
+            blp = spaces.besov_norm_lp(f, spaces.BesovParams(s, p, q), partition)
+            bcl = spaces.classical_besov_norm(f, spaces.BesovParams(s, p, p))
+            ratios["modulus_vs_lp"].append(spaces.besov_norm_modulus(f, spaces.BesovParams(s, p, q), 2) / blp)
+            ratios["classical_vs_lp"].append(bcl / blp)
+            ratios["nikolskii_vs_lp"].append(spaces.nikolskii_norm(f, s, p) / blp)
+            if "slobodetskii_vs_classical" in ratios:
+                ratios["slobodetskii_vs_classical"].append(spaces.slobodetskii_norm(f, s, p) / bcl)
+            quad = lp_norm(f, 2.0) ** 2 + sum(
+                lp_norm(spectral_derivative(f, alpha), 2.0) ** 2 for alpha in np.eye(gspec.dimension, dtype=int)
+            )
+            identity.append(spaces.liouville_norm(f, 1.0, 2.0) / math.sqrt(quad))
+        return {key: {"min": min(v), "max": max(v)} for key, v in ratios.items()}, identity
+
+    coarse, identity = brackets(spec)
+    fine, _ = brackets(GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period))
+    return {
+        "bracket": coarse,
+        "bracket_refined": fine,
+        "liouville_vs_sobolev_ratio": {"min": min(identity), "max": max(identity)},
+        "parameters": {
+            "s": s, "p": p, "q": q, "corpus_size": config.corpus_size,
+            "band": int(config.band), "seed": config.seed,
+        },
+    }
+
+
 class TestEquivalence:
     def test_brackets_bounded_and_stable(self):
         config = ExperimentConfig(points_per_axis=64, corpus_size=20, band=8)
@@ -224,23 +295,85 @@ class TestEquivalence:
         assert res["parameters"] == {"s": 0.7, "p": 2.0, "q": 2.0, "corpus_size": 20, "band": 8, "seed": 0}
 
     @pytest.mark.parametrize("grid,band", [((1, 64), 8), ((2, 16), 3), ((3, 8), 3)])
-    def test_trig_corpus_matches_mesh_loop(self, grid, band):
+    def test_trig_corpus_matches_mesh_loop(self, grid, band, monkeypatch):
         # the corpus as summed on the full mesh, one cos/sin pair per
-        # (function, wavenumber, axis): equal, not close
+        # (function, wavenumber, axis): equal, not close, in one stack and
+        # in stacks of one function each
         spec = GridSpec(*grid)
-        rng = np.random.default_rng(5)
-        x = spec.meshgrid()
-        expected = []
-        for _ in range(20):
-            vals = np.zeros(spec.shape)
-            for k in range(1, band + 1):
-                for d in range(spec.dimension):
-                    a, b = rng.normal(size=2)
-                    w = 2.0 * np.pi * k / spec.period
-                    vals = vals + a * np.cos(w * x[d]) + b * np.sin(w * x[d])
-            expected.append(vals)
-        got = harness.trig_corpus(spec, 20, band, 5)
-        assert all(np.array_equal(f.values, want) for f, want in zip(got, expected, strict=True))
+        expected = mesh_loop_corpus(spec, 20, band, 5)
+        stacks = list(harness.trig_corpus(spec, 20, band, 5))
+        assert len(stacks) == 1 and np.array_equal(stacks[0], expected)
+        monkeypatch.setattr(spaces, "STACK_BYTES", 1)
+        stacks = list(harness.trig_corpus(spec, 20, band, 5))
+        assert [len(v) for v in stacks] == [1] * 20
+        assert np.array_equal(np.concatenate(stacks), expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["equivalence", "--grid", "32", "--seed", "1", "--space", "besov:0.7:2:2"],
+        ["equivalence", "--grid", "32", "--seed", "2", "--space", "besov:1.5:3:1"],
+        ["equivalence", "--grid", "2,8", "--space", "besov:0.7:inf:inf", "--config", "{band}"],
+    ])
+    def test_stack_chunks_do_not_change_output(self, argv, monkeypatch, tmp_path, capsys):
+        # one function per stack gives the bytes of one stack per grid
+        config = tmp_path / "band.json"
+        config.write_text(json.dumps({"band": 3}))
+        argv = [str(config) if a == "{band}" else a for a in argv]
+        assert cli_main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(spaces, "STACK_BYTES", 1)
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == whole
+
+    @pytest.mark.parametrize("stack_bytes,corpus_size,stacks", [
+        (spaces.STACK_BYTES, 20, 1 + 1),
+        (spaces.STACK_BYTES, 40, 1 + 1),
+        (16 * 128 * 8, 20, 2 + 3),  # 16 functions a stack at n = 64, 8 at n = 128
+        (16 * 128 * 8, 40, 3 + 5),
+    ])
+    def test_transforms_per_stack_not_per_function(self, stack_bytes, corpus_size, stacks, monkeypatch):
+        # at p = 2 every route reads one forward transform and one
+        # autocorrelation per stack, whatever the corpus size
+        monkeypatch.setattr(spaces, "STACK_BYTES", stack_bytes)
+        calls = {"fftn": 0, "ifftn": 0}
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        run_equivalence(ExperimentConfig(points_per_axis=64, corpus_size=corpus_size))
+        assert calls == {"fftn": stacks, "ifftn": stacks}
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        # p != 2 on the (2, 16) and (3, 8) grids takes 4-10 s an example,
+        # most of it in the per-function reference
+        case=st.one_of(
+            st.tuples(st.sampled_from([(1, 16), (1, 32), (2, 8)]), st.sampled_from([1.0, 2.0, 3.0, math.inf])),
+            st.tuples(st.sampled_from([(2, 16), (3, 8)]), st.just(2.0)),
+        ),
+        s=st.sampled_from([0.7, 1.5]),
+        q=st.sampled_from([1.0, 2.0, math.inf]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(case=((1, 32), 3.0), s=1.5, q=2.0, seed=0)
+    @example(case=((2, 8), math.inf), s=0.7, q=math.inf, seed=0)
+    @example(case=((3, 8), 2.0), s=1.5, q=1.0, seed=0)
+    def test_stacked_study_matches_per_function_routes(self, case, s, q, seed):
+        grid, p = case
+        config = ExperimentConfig(
+            dimension=grid[0], points_per_axis=grid[1], band=3, seed=seed, space=f"besov:{s}:{p}:{q}"
+        )
+        got, want = flatten(run_equivalence(config)), flatten(reference_equivalence(config))
+        assert list(got) == list(want)  # the same keys, in the same order
+        for key, value in got.items():
+            assert math.isclose(value, want[key], rel_tol=1e-13, abs_tol=0.0), key
 
     def test_no_slobodetskii_bracket_at_p_inf(self):
         config = ExperimentConfig(points_per_axis=16, band=3, space="besov:0.7:inf:2")

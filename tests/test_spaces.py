@@ -23,6 +23,7 @@ from specmeans import (
     difference,
     difference_norms,
     evaluate_norm,
+    forward_transform,
     inverse_transform,
     liouville_norm,
     localized_norm,
@@ -190,7 +191,7 @@ class TestIntegerOrderNorms:
         def no_transform(*args):
             raise AssertionError("order-0 spectral derivative")
 
-        monkeypatch.setattr(spaces, "spectral_derivative", no_transform)
+        monkeypatch.setattr(spaces, "derivative_plan", no_transform)
         f = trig_signal(GridSpec(1, 128), seed=6)
         for p in (1.0, 2.0, 3.0, np.inf):
             assert sobolev_norm(f, 0, p) == lp_norm(f, p)
@@ -556,7 +557,43 @@ class TestDifferenceKernel:
             starts = np.cumsum([0] + [chunk.size for chunk in sets[:-1]])
         norms = difference_norms(f, steps, 2, 2.0)
         expected = [np.max(norms[chunk], initial=0.0) for chunk in sets]
-        assert spaces._moduli(f, steps, members, starts, 2, 2.0).tolist() == expected
+        assert spaces._moduli(norms, members, starts).tolist() == expected
+        # a stack of norms, one row per function
+        assert spaces._moduli(np.stack([norms, 2 * norms]), members, starts).tolist() == [
+            expected, [2 * v for v in expected]
+        ]
+
+    @pytest.mark.parametrize("grid", [(1, 64), (2, 64)])
+    @pytest.mark.parametrize("stack_bytes", [spaces.STACK_BYTES, 1])
+    def test_guard_recompute_matches_per_step_formula(self, grid, stack_bytes, monkeypatch):
+        # smooth functions flag their short steps; every flagged (function,
+        # step) pair, recomputed in blocks (one pair per block at 1 byte),
+        # matches the per-step positive spectral sum
+        monkeypatch.setattr(spaces, "STACK_BYTES", stack_bytes)
+        spec = GridSpec(*grid)
+        n = spec.points_per_axis
+        bump = make_signal("bump", spec).values
+        values = np.stack([bump, np.roll(bump, 5, axis=0), bump * (1.0 + 0.5j)])
+        flagged = []
+
+        def spy(*args):
+            sums = exact(*args)
+            flagged.append((args[3], args[4], sums))
+            return sums
+
+        exact = spaces._exact_difference_sums
+        monkeypatch.setattr(spaces, "_exact_difference_sums", spy)
+        steps = spaces._difference_h_set(spec)[0]
+        sums = spaces._l2_difference_sums(spaces._Stack(spec, values), steps, 2)
+        ((rows, cols, recomputed),) = flagged
+        assert set(rows.tolist()) == {0, 1, 2}
+        assert sums[rows, cols].tolist() == recomputed.tolist()
+        response = (2.0 * np.sin(np.pi * np.arange(n) / n)) ** 4
+        modes = np.indices(spec.shape).reshape(spec.dimension, -1)
+        for row, col, got in zip(rows, cols, recomputed):
+            power = np.abs(forward_transform(GridFunction(spec, values[row])).coefficients) ** 2
+            want = power.reshape(-1) @ response[(steps[col] @ modes) % n] / power.size
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
