@@ -30,8 +30,6 @@ from .symbols import (
 from .multipliers import (
     MultiplierPlan,
     apply_multiplier,
-    bessel_order,
-    mollify,
     spectral_derivative,
     spectral_mean,
 )
@@ -59,14 +57,12 @@ from .distributions import (
     PointAtom,
     classify_membership,
     distribution_convergence,
-    mean_of_distribution,
     negative_liouville_norm,
     pair_distribution,
-    realization,
     spectrum_of_distribution,
     verify_duality,
 )
-from .signals import make_signal, standard_bump
+from .signals import make_signal
 from .harness import (
     ConvergenceReport,
     ExperimentConfig,

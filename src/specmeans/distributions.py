@@ -30,8 +30,6 @@ __all__ = [
     "CompactDistribution",
     "pair_distribution",
     "spectrum_of_distribution",
-    "realization",
-    "mean_of_distribution",
     "verify_duality",
     "negative_liouville_norm",
     "classify_membership",
@@ -161,25 +159,6 @@ def _embed_coefficients(F: SpectrumFunction, spec: GridSpec) -> np.ndarray:
     return out
 
 
-def realization(f: CompactDistribution, spec: GridSpec) -> GridFunction:
-    """Band-limited grid realization of f on the current lattice."""
-    return inverse_transform(spectrum_of_distribution(f, spec))
-
-
-def mean_of_distribution(
-    p: MeanFunction,
-    t: float,
-    sigma: HomogeneousSymbol,
-    f: CompactDistribution,
-    spec: GridSpec,
-) -> GridFunction:
-    """p(tA)f as a grid function: diagonal multiplication of the exact
-    spectrum (smooth for decaying profiles)."""
-    plan = spectral_mean_plan(p, t, sigma, spec)
-    F = spectrum_of_distribution(f, spec)
-    return inverse_transform(SpectrumFunction(spec, plan.values * F.coefficients))
-
-
 def verify_duality(
     p: MeanFunction,
     t: float,
@@ -216,11 +195,16 @@ def negative_liouville_norm(
 ) -> float:
     """Liouville norm of the band-limited realization at order -alpha,
     optionally localized through a smooth window."""
+    F = spectrum_of_distribution(f, spec)
+    G = SpectrumFunction(spec, _negative_order_weights(alpha, spec) * F.coefficients)
+    return localized_norm(G, window, NormSpec("lp", p=p))
+
+
+def _negative_order_weights(alpha: float, spec: GridSpec) -> np.ndarray:
+    """Bessel weights (1 + |y|^2)^{-alpha/2} of the order -alpha <= 0."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0 (the order used is -alpha)")
-    F = spectrum_of_distribution(f, spec)
-    G = SpectrumFunction(spec, bessel_plan(-alpha, spec).values * F.coefficients)
-    return localized_norm(G, window, NormSpec("lp", p=p))
+    return bessel_plan(-alpha, spec).values
 
 
 def classify_membership(
@@ -260,7 +244,7 @@ def distribution_convergence(
     band-limited realization, plus the dual-pairing defect against a
     fixed probe when one is supplied."""
     F = spectrum_of_distribution(f, spec)
-    bessel = bessel_plan(-alpha, spec).values
+    bessel = _negative_order_weights(alpha, spec)
     Phi = None if probe is None else forward_transform(probe)
     records = []
     for t in t_list:

@@ -149,11 +149,6 @@ class GridFunction:
     def to_json(self) -> str:
         return _field_to_json(self.spec, self.values)
 
-    @staticmethod
-    def from_json(text: str) -> "GridFunction":
-        spec, values = _field_from_json(text)
-        return GridFunction(spec, values)
-
 
 @dataclass(frozen=True)
 class SpectrumFunction:
@@ -171,11 +166,6 @@ class SpectrumFunction:
     def to_json(self) -> str:
         return _field_to_json(self.spec, self.coefficients)
 
-    @staticmethod
-    def from_json(text: str) -> "SpectrumFunction":
-        spec, values = _field_from_json(text)
-        return SpectrumFunction(spec, values)
-
 
 def _field_to_json(spec: GridSpec, arr: np.ndarray) -> str:
     flat = arr.reshape(-1)
@@ -189,13 +179,6 @@ def _field_to_json(spec: GridSpec, arr: np.ndarray) -> str:
             "values": np.stack([flat.real, flat.imag], -1).tolist(),
         }
     )
-
-
-def _field_from_json(text: str):
-    obj = json.loads(text)
-    spec = GridSpec(obj["spec"]["N"], obj["spec"]["n"], obj["spec"]["L"])
-    flat = np.array([complex(re, im) for re, im in obj["values"]])
-    return spec, flat.reshape(spec.shape)
 
 
 def forward_transform(f: GridFunction) -> SpectrumFunction:

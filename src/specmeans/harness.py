@@ -231,7 +231,10 @@ class ExperimentConfig:
     def from_json(path, **changes) -> "ExperimentConfig":
         """The config of a JSON object's fields, with `changes` overriding
         them; built, and so checked, once."""
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config {path}: expected a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})

@@ -7,19 +7,7 @@ import numpy as np
 from .grid import GridFunction, GridSpec, _parse_spec
 from .spaces import smooth_step
 
-__all__ = ["make_signal", "standard_bump"]
-
-
-def standard_bump(spec: GridSpec) -> GridFunction:
-    """exp(-1/(1-|x|^2)) inside |x| < 1, normalized to unit discrete
-    integral (the mollifier profile)."""
-    mesh = spec.meshgrid()
-    r2 = sum(m**2 for m in mesh)
-    vals = np.zeros(spec.shape)
-    inside = r2 < 1.0
-    vals[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    vals /= np.sum(vals) * spec.cell_volume
-    return GridFunction(spec, vals)
+__all__ = ["make_signal"]
 
 
 def _bump(spec: GridSpec) -> GridFunction:

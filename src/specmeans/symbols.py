@@ -33,15 +33,12 @@ __all__ = [
     "make_riesz_mean",
     "make_gaussian_mean",
     "make_smooth_cutoff_mean",
-    "check_homogeneity",
-    "check_ellipticity",
     "check_integrability",
     "check_derivative_decay",
     "check_theorem2",
     "assemble_hypothesis_report",
 ]
 
-SAMPLES = 1000  # random points of the homogeneity and ellipticity checks
 JET_ORDER = 6  # highest closed-form derivative of the smooth cutoff
 BIG_LAMBDA = 1e3  # integrability: quadrature below, decay fit on [1, 4] x this
 
@@ -83,27 +80,6 @@ def quartic_symbol() -> HomogeneousSymbol:
         return np.asarray(y1) ** 4 + np.asarray(y2) ** 4
 
     return HomogeneousSymbol(4.0, ev, dimension=2)
-
-
-def check_homogeneity(sigma: HomogeneousSymbol, dimension: int) -> float:
-    """Max relative error of sigma(lam*y) = lam^m sigma(y) on SAMPLES
-    random points."""
-    rng = np.random.default_rng(0)
-    y = rng.normal(size=(SAMPLES, dimension))
-    lam = rng.uniform(0.1, 10.0, size=SAMPLES)
-    base = sigma(*(y[:, j] for j in range(dimension)))
-    scaled = sigma(*((lam * y[:, j].T).T for j in range(dimension)))
-    expected = lam**sigma.degree * base
-    return float(np.max(np.abs(scaled - expected) / np.abs(expected)))
-
-
-def check_ellipticity(sigma: HomogeneousSymbol, dimension: int) -> float:
-    """Minimum of sigma over SAMPLES random unit-sphere points (must be > 0)."""
-    rng = np.random.default_rng(0)
-    y = rng.normal(size=(SAMPLES, dimension))
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    vals = sigma(*(y[:, j] for j in range(dimension)))
-    return float(np.min(vals))
 
 
 @dataclass(frozen=True)

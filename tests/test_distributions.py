@@ -9,19 +9,20 @@ from specmeans import (
     GridFunction,
     GridSpec,
     PointAtom,
+    SpectrumFunction,
     classify_membership,
     distribution_convergence,
+    inverse_transform,
     make_gaussian_mean,
     make_signal,
-    mean_of_distribution,
     negative_liouville_norm,
     pair_distribution,
     power_symbol,
-    realization,
     smooth_window,
     spectrum_of_distribution,
     verify_duality,
 )
+from specmeans.multipliers import spectral_mean_plan
 
 
 def delta(location=(0.0,), alpha=(0,), weight=1.0):
@@ -120,7 +121,7 @@ class TestSpectrum:
         from specmeans import pair
 
         direct = pair_distribution(f, phi)
-        via_grid = pair(realization(f, spec), phi)
+        via_grid = pair(inverse_transform(spectrum_of_distribution(f, spec)), phi)
         assert abs(direct - via_grid) < 1e-11
 
 
@@ -221,9 +222,9 @@ class TestConvergence:
 
     def test_mean_of_distribution_smooths(self):
         spec = GridSpec(1, 128)
-        g = mean_of_distribution(
-            make_gaussian_mean(), 0.1, power_symbol(2.0), delta(), spec
-        )
+        plan = spectral_mean_plan(make_gaussian_mean(), 0.1, power_symbol(2.0), spec)
+        F = spectrum_of_distribution(delta(), spec)
+        g = inverse_transform(SpectrumFunction(spec, plan.values * F.coefficients))
         # heat evolution of delta: positive, concentrated at 0, mass 1
         assert np.max(g.values.real) == g.values.real[spec.points_per_axis // 2]
         mass = np.sum(g.values.real) * spec.cell_volume

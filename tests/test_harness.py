@@ -551,6 +551,8 @@ class TestCLI:
             (["equivalence", "--grid", "8", "--config", "{band_above_nyquist}"], "band"),
             (["equivalence", "--grid", "16"], "band"),  # the default band 8 is n/2 here
             (["norm", "--grid", "64", "--signal", "bump", "--space", "slobodetskii:0.5:inf"], "space"),
+            (["converge-dist", "--grid", "16", "--alpha", "-1"], "alpha"),
+            (["converge", "--config", "{truncated_config}"], "config"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
@@ -568,10 +570,12 @@ class TestCLI:
             "band_fraction": {"band": 8.5},
             "band_above_nyquist": {"band": 200},
             "small_corpus": {"corpus_size": 10},
+            "truncated_config": '{"steps": 3,',  # written as is: not valid JSON
         }
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, path in paths.items():
-            path.write_text(json.dumps(configs[name]))
+            data = configs[name]
+            path.write_text(data if isinstance(data, str) else json.dumps(data))
         huge_t0 = "{huge_t0}" in argv
         argv = [a.format(**paths) for a in argv]
         assert cli_main(argv) == 2

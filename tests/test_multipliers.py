@@ -1,5 +1,4 @@
-"""Multiplier plans: spectral means, Bessel weights, derivatives,
-mollifiers."""
+"""Multiplier plans: spectral means, Bessel weights, derivatives."""
 
 import numpy as np
 import pytest
@@ -7,16 +6,12 @@ import pytest
 from specmeans import (
     GridFunction,
     GridSpec,
-    bessel_order,
     forward_transform,
-    lp_norm,
     make_gaussian_mean,
     make_riesz_mean,
     power_symbol,
     spectral_derivative,
     spectral_mean,
-    standard_bump,
-    mollify,
 )
 from specmeans.multipliers import (
     MultiplierPlan,
@@ -106,14 +101,14 @@ class TestBessel:
     def test_inverse_pair(self):
         spec = GridSpec(1, 64)
         f = smooth_signal(spec, seed=4)
-        g = bessel_order(-1.5, bessel_order(1.5, f))
+        g = apply_multiplier(bessel_plan(-1.5, spec), apply_multiplier(bessel_plan(1.5, spec), f))
         assert np.max(np.abs(g.values - f.values)) < 1e-12
 
     def test_matches_one_plus_laplacian(self):
         # order 2: (1 + |y|^2) multiplier equals f - f''
         spec = GridSpec(1, 64)
         f = smooth_signal(spec, seed=5)
-        g = bessel_order(2.0, f)
+        g = apply_multiplier(bessel_plan(2.0, spec), f)
         h = f.values - spectral_derivative(f, [2]).values
         assert np.max(np.abs(g.values - h)) < 1e-11
 
@@ -138,68 +133,6 @@ class TestDerivative:
         spec = GridSpec(2, 16)
         with pytest.raises(ValueError):
             derivative_plan([1], spec)
-
-
-class TestMollify:
-    def test_mass_and_positivity_checked(self):
-        spec = GridSpec(1, 128)
-        u = smooth_signal(spec, seed=6)
-        bad = GridFunction(spec, np.ones(128))  # mass 2*pi, not 1
-        with pytest.raises(ValueError):
-            mollify(u, 0.1, bad)
-
-    def test_h_margin_checked(self):
-        spec = GridSpec(1, 128)
-        u = smooth_signal(spec, seed=6)
-        bump = standard_bump(spec)
-        with pytest.raises(ValueError):
-            mollify(u, spec.period / 4.0, bump)
-
-    def test_constant_preserved(self):
-        # convolving a constant with a unit-mass kernel returns it
-        spec = GridSpec(1, 128)
-        u = GridFunction(spec, np.full(128, 2.5))
-        bump = standard_bump(spec)
-        v = mollify(u, 0.3, bump)
-        assert np.max(np.abs(v.values - 2.5)) < 1e-8
-
-    def test_second_order_convergence(self):
-        # smooth u: ||u_h - u||_inf = O(h^2) for a symmetric kernel
-        spec = GridSpec(1, 256)
-        x = spec.axis_points()
-        u = GridFunction(spec, np.sin(2 * x) + 0.3 * np.cos(5 * x))
-        bump = standard_bump(spec)
-        errs = []
-        hs = [0.2, 0.1, 0.05]
-        for h in hs:
-            v = mollify(u, h, bump)
-            errs.append(lp_norm(v - u, np.inf))
-        orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-        for o in orders:
-            assert abs(o - 2.0) < 0.1
-
-    def test_matches_direct_convolution(self):
-        # oracle: periodic convolution computed pointwise in space
-        spec = GridSpec(1, 128)
-        u = smooth_signal(spec, seed=7)
-        bump = standard_bump(spec)
-        h = 0.25
-        v = mollify(u, h, bump)
-        x = spec.axis_points()
-        kernel = np.zeros(128)
-        for shift in (-1, 0, 1):  # periodic images
-            z = (x + shift * spec.period) / h
-            inside = np.abs(z) < 1.0
-            kernel[inside] += np.exp(-1.0 / (1.0 - z[inside] ** 2))
-        kernel /= np.sum(kernel) * spec.cell_volume  # unit discrete mass
-        # circular convolution indexes from x = 0, the grid starts at -L/2
-        kernel = np.fft.ifftshift(kernel)
-        direct = np.real(
-            np.fft.ifft(np.fft.fft(u.values) * np.fft.fft(kernel)) * spec.cell_volume
-        )
-        # oracle uses grid sampling of the dilated kernel, the operator
-        # uses the trig-interpolated transform; agreement to O(dx^2)
-        assert np.max(np.abs(v.values - direct)) < 1e-3 * np.max(np.abs(direct))
 
 
 class TestApply:

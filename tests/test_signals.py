@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specmeans import GridSpec, lp_norm, make_signal, standard_bump
+from specmeans import GridSpec, lp_norm, make_signal
 from specmeans.spaces import NormSpec, evaluate_norm
 
 
@@ -15,12 +15,6 @@ class TestBump:
         outside = np.abs(x) >= 3 * spec.period / 8
         assert np.all(u.values[outside] == 0.0)
         assert np.max(u.values) == pytest.approx(1.0, rel=1e-12)
-
-    def test_standard_bump_unit_mass(self):
-        spec = GridSpec(1, 256)
-        b = standard_bump(spec)
-        assert np.sum(b.values) * spec.cell_volume == pytest.approx(1.0, rel=1e-12)
-        assert np.min(b.values) >= 0
 
 
 class TestCone:

@@ -61,3 +61,53 @@ def test_private_names_are_used():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(private - used) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _named(tree):
+    """Every name a file refers to in code: names, attributes, imports,
+    and the parts of dotted-identifier strings such as the bench's
+    "module.function" keys."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.replace(".", "").isidentifier():
+                names.update(node.value.split("."))
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_public_names_are_reached():
+    """Every name in a module's __all__ is loaded by that module, or named
+    by another package module (not __init__), by a test file other than
+    the module's own tests/test_<module>.py, or by a bench script.  A name
+    only its own unit tests call is dead public API."""
+    modules = {p.stem: _tree(p) for p in MODULES if p.name != "__init__.py"}
+    outside = {p: _named(_tree(p)) for p in [*ROOT.glob("tests/**/*.py"), *ROOT.glob("bench/*.py")]}
+    dead = []
+    for stem, tree in modules.items():
+        loaded = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        named = set().union(
+            *(_named(other) for name, other in modules.items() if name != stem),
+            *(names for path, names in outside.items() if path.name != f"test_{stem}.py"),
+        )
+        dead += [f"{stem}.{name}" for name in sorted(_exported(tree) - loaded - named)]
+    assert dead == []
