@@ -56,7 +56,6 @@ from .distributions import (
     CompactDistribution,
     PointAtom,
     classify_membership,
-    distribution_convergence,
     negative_liouville_norm,
     pair_distribution,
     spectrum_of_distribution,
@@ -66,6 +65,7 @@ from .signals import make_signal
 from .harness import (
     ConvergenceReport,
     ExperimentConfig,
+    distribution_convergence,
     run_conditions,
     run_convergence_distribution,
     run_convergence_function,

@@ -3,7 +3,8 @@
 A distribution is a finite combination of derivatives of point masses
 plus an optional smooth density.  Means act by duality: on the grid both
 routes reduce to the same diagonal multiplication, so the duality
-defect is pure roundoff and is checked as such.
+defect is pure roundoff and is checked as such.  The convergence sweep
+of a distribution lives in `harness`, beside the function sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "verify_duality",
     "negative_liouville_norm",
     "classify_membership",
-    "distribution_convergence",
 ]
 
 MAX_ATOM_ORDER = 4  # |alpha| cap keeps (iy)^alpha within double range
@@ -99,30 +99,27 @@ def _atom_mode_weights(spec: GridSpec, x0, alpha, sign: int) -> np.ndarray:
     return out
 
 
-def _eval_at_point(F: SpectrumFunction, x0, alpha) -> complex:
-    """Trigonometric interpolation of D^alpha of the inverse transform
-    at an arbitrary point x0; exact for band-limited functions."""
-    spec = F.spec
-    weight = _atom_mode_weights(spec, x0, alpha, sign=+1)
-    total = np.sum(F.coefficients * weight)
-    return complex(total * spec.freq_cell_volume)
+def _pairing_weights(f: CompactDistribution, spec: GridSpec) -> list:
+    """Per atom, the mode weights of trigonometric interpolation of D^alpha
+    at its location, exact for band-limited functions: one set per grid."""
+    return [_atom_mode_weights(spec, a.location, a.alpha, sign=+1) for a in f.atoms]
 
 
 def pair_distribution(f: CompactDistribution, phi: GridFunction) -> complex:
     """<f, phi> = sum_j c_j (-1)^{|alpha_j|} (D^alpha phi)(x_j) + int density*phi."""
     f.validate(phi.spec)
-    return _pair_spectrum(f, forward_transform(phi), phi)
+    return _pair_spectrum(f, forward_transform(phi), _pairing_weights(f, phi.spec), phi)
 
 
 def _pair_spectrum(
-    f: CompactDistribution, Phi: SpectrumFunction, phi: GridFunction | None = None
+    f: CompactDistribution, Phi: SpectrumFunction, weights: list, phi: GridFunction | None = None
 ) -> complex:
-    """<f, phi> for the probe phi with spectrum Phi; the density term
-    uses the samples phi when given, inverse_transform(Phi) otherwise."""
+    """<f, phi> for the probe phi with spectrum Phi and f's `_pairing_weights`;
+    the density term uses the samples phi when given, inverse_transform(Phi) otherwise."""
     total = 0.0 + 0.0j
-    for a in f.atoms:
-        sgn = (-1.0) ** sum(a.alpha)
-        total += complex(a.weight) * sgn * _eval_at_point(Phi, a.location, a.alpha)
+    for a, weight in zip(f.atoms, weights):
+        value = complex(np.sum(Phi.coefficients * weight) * Phi.spec.freq_cell_volume)
+        total += complex(a.weight) * (-1.0) ** sum(a.alpha) * value
     if f.density is not None:
         total += pair(f.density, inverse_transform(Phi) if phi is None else phi)
     return total
@@ -170,20 +167,17 @@ def verify_duality(
     product, so the defect is roundoff plus interpolation only."""
     P = spectral_mean_plan(p, t, sigma, phi.spec).values
     F = spectrum_of_distribution(f, phi.spec)
-    return _duality_defect(P, F, f, phi, forward_transform(phi))
+    return _duality_defect(P, F, f, _pairing_weights(f, phi.spec), phi, forward_transform(phi))
 
 
 def _duality_defect(
-    P: np.ndarray,
-    F: SpectrumFunction,
-    f: CompactDistribution,
-    phi: GridFunction,
+    P: np.ndarray, F: SpectrumFunction, f: CompactDistribution, weights: list, phi: GridFunction,
     Phi: SpectrumFunction,
 ) -> float:
     """|<p(tA)f, phi> - <f, p(tA)phi>| for the multiplier P = p(t sigma),
-    given the spectra F of f and Phi of phi."""
+    given the spectra F of f and Phi of phi and f's `_pairing_weights`."""
     lhs = pair(inverse_transform(SpectrumFunction(F.spec, P * F.coefficients)), phi)
-    return abs(lhs - _pair_spectrum(f, SpectrumFunction(Phi.spec, P * Phi.coefficients)))
+    return abs(lhs - _pair_spectrum(f, SpectrumFunction(Phi.spec, P * Phi.coefficients), weights))
 
 
 def negative_liouville_norm(
@@ -195,16 +189,15 @@ def negative_liouville_norm(
 ) -> float:
     """Liouville norm of the band-limited realization at order -alpha,
     optionally localized through a smooth window."""
-    F = spectrum_of_distribution(f, spec)
-    G = SpectrumFunction(spec, _negative_order_weights(alpha, spec) * F.coefficients)
+    G = _negative_order(spectrum_of_distribution(f, spec), alpha)
     return localized_norm(G, window, NormSpec("lp", p=p))
 
 
-def _negative_order_weights(alpha: float, spec: GridSpec) -> np.ndarray:
-    """Bessel weights (1 + |y|^2)^{-alpha/2} of the order -alpha <= 0."""
+def _negative_order(F: SpectrumFunction, alpha: float) -> SpectrumFunction:
+    """(1 + |y|^2)^{-alpha/2}·F, the Bessel potential of order -alpha <= 0."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0 (the order used is -alpha)")
-    return bessel_plan(-alpha, spec).values
+    return SpectrumFunction(F.spec, bessel_plan(-alpha, F.spec).values * F.coefficients)
 
 
 def classify_membership(
@@ -227,32 +220,3 @@ def classify_membership(
     else:
         verdict = "inconclusive"
     return {"ratio": ratio, "verdict": verdict, "coarse": v1, "fine": v2}
-
-
-def distribution_convergence(
-    p: MeanFunction,
-    t_list: Sequence[float],
-    sigma: HomogeneousSymbol,
-    f: CompactDistribution,
-    alpha: float,
-    p_exp: float,
-    spec: GridSpec,
-    window: GridFunction | None = None,
-    probe: GridFunction | None = None,
-) -> list:
-    """Per t: localized L_{p}^{-alpha} error of p(tA)f against the
-    band-limited realization, plus the dual-pairing defect against a
-    fixed probe when one is supplied."""
-    F = spectrum_of_distribution(f, spec)
-    bessel = _negative_order_weights(alpha, spec)
-    Phi = None if probe is None else forward_transform(probe)
-    records = []
-    for t in t_list:
-        P = spectral_mean_plan(p, t, sigma, spec).values
-        g = SpectrumFunction(spec, bessel * ((P - 1.0) * F.coefficients))
-        err = localized_norm(g, window, NormSpec("lp", p=p_exp))
-        rec = {"t": float(t), "error": float(err)}
-        if probe is not None:
-            rec["pairing_error"] = _duality_defect(P, F, f, probe, Phi)
-        records.append(rec)
-    return records

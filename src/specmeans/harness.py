@@ -13,8 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import CompactDistribution, PointAtom, distribution_convergence
-from .grid import GridSpec, SpectrumFunction, _lp_norms, _parse_spec, forward_transform
+from .distributions import (
+    CompactDistribution, PointAtom, _duality_defect, _negative_order, _pairing_weights,
+    spectrum_of_distribution,
+)
+from .grid import GridFunction, GridSpec, SpectrumFunction, _lp_norms, _parse_spec, forward_transform
 from .multipliers import bessel_plan, spectral_mean_plan
 from .signals import make_signal
 from .spaces import (
@@ -52,6 +55,7 @@ __all__ = [
     "parse_norm_spec",
     "run_convergence_function",
     "run_convergence_distribution",
+    "distribution_convergence",
     "run_equivalence",
     "run_conditions",
     "report_to_csv",
@@ -270,36 +274,57 @@ def _fit_slope(ts: np.ndarray, errs: np.ndarray, floor: float) -> float:
     return float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
 
 
-def _band_truncation_error(
-    U: SpectrumFunction, norm_spec: NormSpec, window, partition
-) -> float:
-    """Norm of the outermost-octave part of the spectrum U: proxy for what
-    the finite band cannot represent."""
-    xi = U.spec.frequency_magnitude()
-    cut = float(np.max(xi)) / 2.0
-    hi = SpectrumFunction(U.spec, U.coefficients * (xi > cut))
-    return localized_norm(hi, window, norm_spec, partition)
+def _norms(X: SpectrumFunction, multipliers, norm_spec: NormSpec, window, partition=None) -> list:
+    """Per multiplier M, the norm_spec norm of the spectrum M·X, localized by window."""
+    return [localized_norm(SpectrumFunction(X.spec, M * X.coefficients), window, norm_spec, partition)
+            for M in multipliers]
+
+
+def _sweep(p: MeanFunction, t_list, sigma: HomogeneousSymbol, X: SpectrumFunction, rows, *norm_args):
+    """Per t of t_list, one t at a time: (t, P_t = p(t sigma), the `_norms` of X for rows(P_t))."""
+    for t in t_list:
+        P = spectral_mean_plan(p, t, sigma, X.spec).values
+        yield t, P, _norms(X, rows(P), *norm_args)
 
 
 def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
-    spec, window, norm_spec = config.grid, config.window, config.norm_spec
-
-    # u is transformed once; p(tA)u and p(tA)u - u are formed as spectra
+    spec, norm_spec = config.grid, config.norm_spec
     U = forward_transform(config.signal_function)
-    partition = build_partition(spec) if norm_spec.kind == "besov_lp" else None
-    u_norm = localized_norm(U, window, norm_spec, partition)
-    band_err = _band_truncation_error(U, norm_spec, window, partition)
+    norm_args = (norm_spec, config.window, build_partition(spec) if norm_spec.kind == "besov_lp" else None)
+    xi = spec.frequency_magnitude()
+    # u and its outermost octave, the proxy for what the finite band cannot represent
+    u_norm, band_err = _norms(U, (1.0, xi > float(np.max(xi)) / 2.0), *norm_args)
     records, ratios = [], []
-    for t in config.t_schedule():
-        P = spectral_mean_plan(config.mean_function, t, config.sigma, spec).values
-        v = SpectrumFunction(spec, P * U.coefficients)
-        ratios.append(localized_norm(v, window, norm_spec, partition) / u_norm)
-        v = SpectrumFunction(spec, (P - 1.0) * U.coefficients)
-        records.append({"t": t, "error": localized_norm(v, window, norm_spec, partition)})
+    for t, _, (mean_norm, err) in _sweep(
+        config.mean_function, config.t_schedule(), config.sigma, U, lambda P: (P, P - 1.0), *norm_args
+    ):
+        ratios.append(mean_norm / u_norm)
+        records.append({"t": t, "error": err})
     return _sweep_report(
         config, records, norm_spec.label(), norm_spec.kind, band_err,
         boundedness_ratio=max(ratios),
     )
+
+
+def distribution_convergence(
+    p: MeanFunction, t_list, sigma: HomogeneousSymbol, f: CompactDistribution, alpha: float, p_exp: float,
+    spec: GridSpec, window: GridFunction | None = None, probe: GridFunction | None = None,
+) -> list:
+    """Per t: localized L_{p}^{-alpha} error of p(tA)f against the
+    band-limited realization, plus the dual-pairing defect against a
+    fixed probe when one is supplied.  The error is the function sweep's
+    error for X = bessel·F under lp:p_exp; a window applies after the Bessel potential."""
+    F = spectrum_of_distribution(f, spec)
+    X = _negative_order(F, alpha)
+    if probe is not None:
+        weights, Phi = _pairing_weights(f, spec), forward_transform(probe)
+    records = []
+    for t, P, (err,) in _sweep(p, t_list, sigma, X, lambda P: (P - 1.0,), NormSpec("lp", p=p_exp), window):
+        rec = {"t": float(t), "error": float(err)}
+        if probe is not None:
+            rec["pairing_error"] = _duality_defect(P, F, f, weights, probe, Phi)
+        records.append(rec)
+    return records
 
 
 def run_convergence_distribution(config: ExperimentConfig) -> ConvergenceReport:

@@ -675,6 +675,14 @@ class NormSpec:
     def __post_init__(self):
         if any(math.isnan(v) for v in (self.p, self.s, self.q)):
             raise ValueError(f"{self.kind} fields must be numbers")
+        for name, value in (("p", self.p), ("q", self.q)):
+            if value < 1:
+                raise ValueError(f"{self.kind} exponent {name} must be >= 1 or inf, got {value:g}")
+        # the routes check these too, for direct callers; here the error names the spec
+        if self.kind == "besov_modulus" and not 0 < self.s < 2:  # the route runs at m = 2
+            raise ValueError(f"besov_modulus order must lie in (0, 2), got {self.s:g}")
+        if self.kind in ("classical_besov", "nikolskii") and not self.s > 0:
+            raise ValueError(f"{self.kind} order must be > 0, got {self.s:g}")
         if self.kind == "sobolev" and not (self.s >= 0 and float(self.s).is_integer()):
             raise ValueError(f"sobolev order must be a whole number >= 0, got {self.s:g}")
         if self.kind == "slobodetskii" and self.p == math.inf:

@@ -110,6 +110,7 @@ CASES = {
     "reject-t": (["apply", "--grid", "16", "--t", "nan"], None),
     "reject-huge-t0": (["converge", "--config", "{config}"], {"t0": 10**400}),
     "reject-slobodetskii-inf": (_norm("64", "bump", "slobodetskii:0.5:inf"), None),
+    "reject-exponent": (_norm("16", "bump", "liouville:0.5:0.5"), None),
 }
 
 

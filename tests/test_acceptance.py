@@ -370,7 +370,7 @@ class TestCriterion10NormAxioms:
 
 
 class TestCriterion11Determinism:
-    def test_byte_identical_csv(self, tmp_path):
+    def test_byte_identical_csv(self, tmp_path, src_env):
         args = [
             sys.executable,
             "-m",
@@ -390,7 +390,7 @@ class TestCriterion11Determinism:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (p1, p2):
             proc = subprocess.run(
-                args + ["--out", str(path)], capture_output=True, text=True
+                args + ["--out", str(path)], capture_output=True, text=True, env=src_env
             )
             assert proc.returncode == 0, proc.stderr
         assert p1.read_bytes() == p2.read_bytes()

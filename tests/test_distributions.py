@@ -3,17 +3,22 @@ membership classification, convergence of means."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmeans import (
     CompactDistribution,
     GridFunction,
     GridSpec,
+    NormSpec,
     PointAtom,
     SpectrumFunction,
     classify_membership,
     distribution_convergence,
     inverse_transform,
+    localized_norm,
     make_gaussian_mean,
+    make_riesz_mean,
     make_signal,
     negative_liouville_norm,
     pair_distribution,
@@ -22,7 +27,8 @@ from specmeans import (
     spectrum_of_distribution,
     verify_duality,
 )
-from specmeans.multipliers import spectral_mean_plan
+from specmeans import distributions
+from specmeans.multipliers import bessel_plan, spectral_mean_plan
 
 
 def delta(location=(0.0,), alpha=(0,), weight=1.0):
@@ -264,3 +270,56 @@ class TestConvergence:
         assert [r["pairing_error"] for r in recs] == [
             verify_duality(p, t, sigma, f, probe) for t in ts
         ]
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    def test_atom_weights_built_once_per_sweep(self, steps, monkeypatch):
+        """Each atom's mode weights are built twice, once for the spectrum
+        and once for the pairing, however many t the sweep takes."""
+        calls = []
+        build = distributions._atom_mode_weights
+
+        def counted(spec, x0, alpha, sign):
+            calls.append(sign)
+            return build(spec, x0, alpha, sign)
+
+        monkeypatch.setattr(distributions, "_atom_mode_weights", counted)
+        spec = GridSpec(1, 32)
+        f = CompactDistribution((PointAtom((0.3,), (1,), 0.5 + 0.2j), PointAtom((-0.7,), (0,), 1.0)))
+        ts = [1e-1 * 0.5**j for j in range(steps)]
+        distribution_convergence(
+            make_gaussian_mean(), ts, power_symbol(2.0), f, 0.75, 2, spec, None, probe=smooth_probe(spec)
+        )
+        assert sorted(calls) == [-1, -1, 1, 1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        p_exp=st.sampled_from([2.0, 3.0]),
+        windowed=st.booleans(),
+        riesz=st.booleans(),
+        alpha=st.floats(0.5, 2.0),
+        x=st.floats(-1.5, 1.5),
+        order=st.integers(1, 2),
+        weight=st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0)),
+        ts=st.lists(st.floats(1e-3, 1e-1), min_size=1, max_size=3),
+    )
+    def test_error_matches_bessel_after_mean(
+        self, dimension, p_exp, windowed, riesz, alpha, x, order, weight, ts
+    ):
+        """The sweep measures (P - 1)·(bessel·F); the reference takes the
+        other product order, bessel·((P - 1)·F), and agrees to roundoff."""
+        spec = GridSpec(dimension, 16)
+        atoms = (
+            PointAtom((x,) + (0.2,) * (dimension - 1), (order,) + (0,) * (dimension - 1), complex(*weight)),
+            PointAtom((0.0,) * dimension, (0,) * dimension, 1.0),
+        )
+        f = CompactDistribution(atoms)
+        mean, sigma = make_riesz_mean(2.0) if riesz else make_gaussian_mean(), power_symbol(2.0)
+        window = smooth_window(spec, 1.0) if windowed else None
+        recs = distribution_convergence(mean, ts, sigma, f, alpha, p_exp, spec, window)
+        F = spectrum_of_distribution(f, spec).coefficients
+        bessel = bessel_plan(-alpha, spec).values
+        for t, rec in zip(ts, recs):
+            P = spectral_mean_plan(mean, t, sigma, spec).values
+            g = SpectrumFunction(spec, bessel * ((P - 1.0) * F))
+            assert rec["error"] == pytest.approx(localized_norm(g, window, NormSpec("lp", p=p_exp)), rel=1e-14)

@@ -553,6 +553,17 @@ class TestCLI:
             (["norm", "--grid", "64", "--signal", "bump", "--space", "slobodetskii:0.5:inf"], "space"),
             (["converge-dist", "--grid", "16", "--alpha", "-1"], "alpha"),
             (["converge", "--config", "{truncated_config}"], "config"),
+            # a norm exponent below 1 and an order outside a route's range are named at parse time
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "liouville:0.5:0.5"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "liouville:0.5:-1"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "sobolev:1:0.5"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "slobodetskii:0.5:0.5"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "lp:0.5"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "besov:0.5:2:0.5"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "besov_modulus:2:2:2"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "classical_besov:0:2:2"], "space"),
+            (["norm", "--grid", "16", "--signal", "bump", "--space", "nikolskii:-0.5:2"], "space"),
+            (["converge", "--grid", "16", "--space", "liouville:0.5:0.5", "--steps", "2"], "space"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
@@ -649,11 +660,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "liouville:-0.75" in out
 
-    def test_entry_point_installed(self):
+    def test_entry_point_installed(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "specmeans.cli", "conditions", "--mean", "gaussian"],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True

@@ -333,14 +333,14 @@ class TestCutoffJet:
             exact = np.where(lam <= tau / 2, 1.0, 0.0) if j == 0 else np.zeros_like(lam)
             assert np.array_equal(vals[flat], exact[flat]), j
 
-    def test_cli_does_not_import_sympy(self):
+    def test_cli_does_not_import_sympy(self, src_env):
         code = (
             "import sys\n"
             "from specmeans.cli import main\n"
             "rc = main(['conditions', '--mean', 'cutoff:1', '--l', '3'])\n"
             "sys.exit(rc or 10 * ('sympy' in sys.modules))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
         assert proc.returncode != 10, "sympy was imported"
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["pass"] is True
