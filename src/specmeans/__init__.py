@@ -63,7 +63,6 @@ from .distributions import (
 )
 from .signals import make_signal
 from .harness import (
-    ConvergenceReport,
     ExperimentConfig,
     distribution_convergence,
     run_conditions,

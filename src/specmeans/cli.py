@@ -15,7 +15,6 @@ from pathlib import Path
 from .harness import (
     ExperimentConfig,
     report_to_csv,
-    report_to_json,
     run_conditions,
     run_convergence_distribution,
     run_convergence_function,
@@ -97,15 +96,15 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _run(args, config: ExperimentConfig) -> tuple:
-    """(text, exit code) of one command."""
+    """(payload, exit code) of one command.  The payload is a dict to
+    print as JSON, or text to print as it is: a CSV, or `apply`'s field."""
     if args.command in ("converge", "converge-dist"):
         run = run_convergence_function if args.command == "converge" else run_convergence_distribution
         report = run(config)
-        text = report_to_csv(report) if config.format == "csv" else report_to_json(report)
-        violated = report.hypothesis_passed and not report.monotone and not report.floor_validated
-        return text, 3 if violated else 0
+        violated = report["hypothesis_passed"] and not report["monotone"] and not report["floor_validated"]
+        return (report_to_csv(report) if config.format == "csv" else report), 3 if violated else 0
     if args.command == "equivalence":
-        return json.dumps(run_equivalence(config), indent=2), 0
+        return run_equivalence(config), 0
     if args.command == "conditions":
         return run_conditions(config), 0
     f = config.signal_function
@@ -115,12 +114,14 @@ def _run(args, config: ExperimentConfig) -> tuple:
     if args.via != "lp":
         if norm_spec.kind not in _VIA.values():
             raise ValueError(f"via {args.via!r} needs a Besov space, got {config.space!r}")
-        norm_spec = replace(norm_spec, kind=_VIA[args.via])
+        try:
+            norm_spec = replace(norm_spec, kind=_VIA[args.via])
+        except ValueError as exc:
+            raise ValueError(f"space {config.space!r} via {args.via!r}: {exc}") from None
     # the route that ran; "lp" for a space with a single route
     via = {kind: name for name, kind in _VIA.items()}.get(norm_spec.kind, "lp")
     value = evaluate_norm(f, norm_spec)
-    payload = {"signal": config.signal, "space": norm_spec.label(), "via": via, "value": value}
-    return json.dumps(payload, indent=2), 0
+    return {"signal": config.signal, "space": norm_spec.label(), "via": via, "value": value}, 0
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -138,8 +139,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _config_from_args(args)
-        text, code = _run(args, config)
-        _emit(text, config.out)
+        payload, code = _run(args, config)
+        _emit(payload if isinstance(payload, str) else json.dumps(payload, indent=2), config.out)
     except (ValueError, KeyError, OverflowError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,5 +1,6 @@
-"""Experiment runner: convergence sweeps, norm-equivalence studies,
-hypothesis reports, and CSV/JSON emission."""
+"""Experiment runner: convergence sweeps, norm-equivalence studies and
+hypothesis reports, each returned as the JSON payload dict the CLI
+prints, and the CSV of a sweep."""
 
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ from .symbols import (
 
 __all__ = [
     "ExperimentConfig",
-    "ConvergenceReport",
     "parse_mean",
     "parse_symbol",
     "parse_norm_spec",
@@ -59,7 +59,6 @@ __all__ = [
     "run_equivalence",
     "run_conditions",
     "report_to_csv",
-    "report_to_json",
 ]
 
 
@@ -247,21 +246,6 @@ class ExperimentConfig:
         return ExperimentConfig(**{**data, **changes})
 
 
-@dataclass
-class ConvergenceReport:
-    records: list  # dicts with t, error, space
-    slope: float
-    floor: float
-    floor_validated: bool
-    monotone: bool
-    space: str
-    norm_route: str
-    hypothesis: Optional[dict] = None
-    hypothesis_passed: Optional[bool] = None
-    boundedness_ratio: Optional[float] = None
-    extra: dict = field(default_factory=dict)
-
-
 def _fit_slope(ts: np.ndarray, errs: np.ndarray, floor: float) -> float:
     """Log-log slope on the pre-floor asymptotic tail (smallest t with
     error comfortably above the floor)."""
@@ -287,7 +271,7 @@ def _sweep(p: MeanFunction, t_list, sigma: HomogeneousSymbol, X: SpectrumFunctio
         yield t, P, _norms(X, rows(P), *norm_args)
 
 
-def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
+def run_convergence_function(config: ExperimentConfig) -> dict:
     spec, norm_spec = config.grid, config.norm_spec
     U = forward_transform(config.signal_function)
     norm_args = (norm_spec, config.window, build_partition(spec) if norm_spec.kind == "besov_lp" else None)
@@ -300,10 +284,7 @@ def run_convergence_function(config: ExperimentConfig) -> ConvergenceReport:
     ):
         ratios.append(mean_norm / u_norm)
         records.append({"t": t, "error": err})
-    return _sweep_report(
-        config, records, norm_spec.label(), norm_spec.kind, band_err,
-        boundedness_ratio=max(ratios),
-    )
+    return _sweep_report(config, records, norm_spec.label(), norm_spec.kind, band_err, max(ratios))
 
 
 def distribution_convergence(
@@ -327,25 +308,24 @@ def distribution_convergence(
     return records
 
 
-def run_convergence_distribution(config: ExperimentConfig) -> ConvergenceReport:
+def run_convergence_distribution(config: ExperimentConfig) -> dict:
     records = distribution_convergence(
         config.mean_function, config.t_schedule(), config.sigma, config.distribution,
         config.alpha, config.p, config.grid, config.window, make_signal("bump", config.grid),
     )
     return _sweep_report(
-        config, records, f"liouville:{-config.alpha:g}:{config.p:g}",
-        "negative_liouville", 0.0,
-        extra={"pairing_errors": [r.get("pairing_error") for r in records]},
+        config, records, f"liouville:{-config.alpha:g}:{config.p:g}", "negative_liouville", 0.0,
+        pairing_errors=[r.get("pairing_error") for r in records],
     )
 
 
 def _sweep_report(
     config: ExperimentConfig, records: list, space: str, norm_route: str, band_err: float,
-    **report_fields,
-) -> ConvergenceReport:
-    """Report of a sweep whose records hold t and error: the floor is
+    boundedness_ratio: Optional[float] = None, **extra,
+) -> dict:
+    """The payload of a sweep whose records hold t and error: the floor is
     validated against band truncation and roundoff, the slope is fitted
-    above it, and the hypothesis report is attached."""
+    above it, the hypothesis report is attached, and `extra` comes last."""
     ts = np.array([r["t"] for r in records])
     errs = [r["error"] for r in records]
     for r in records:
@@ -356,18 +336,19 @@ def _sweep_report(
     report = assemble_hypothesis_report(
         config.theorem, config.theorem_parameters(), config.mean_function
     )
-    return ConvergenceReport(
-        records=records,
-        slope=_fit_slope(ts, np.array(errs), floor),
-        floor=floor,
-        floor_validated=floor_validated,
-        monotone=all(b < a for a, b in zip(errs, errs[1:])),
-        space=space,
-        norm_route=norm_route,
-        hypothesis=report.to_dict(),
-        hypothesis_passed=report.passed,
-        **report_fields,
-    )
+    return {
+        "records": records,
+        "slope": _fit_slope(ts, np.array(errs), floor),
+        "floor": floor,
+        "floor_validated": floor_validated,
+        "monotone": all(b < a for a, b in zip(errs, errs[1:])),
+        "space": space,
+        "norm_route": norm_route,
+        "hypothesis_passed": report.passed,
+        "boundedness_ratio": boundedness_ratio,
+        "hypothesis": report.to_dict(),
+        **extra,
+    }
 
 
 def trig_corpus(spec: GridSpec, size: int, band: int, seed: int):
@@ -419,6 +400,10 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     norm_spec = config.norm_spec
     if norm_spec.kind in ("besov_lp", "besov_modulus"):
         s, pp, qq = norm_spec.s, norm_spec.p, norm_spec.q
+        try:  # the study runs the modulus route on these parameters
+            NormSpec("besov_modulus", p=pp, s=s, q=qq)
+        except ValueError as exc:
+            raise ValueError(f"space {config.space!r}: {exc}") from None
 
     def brackets(gspec: GridSpec, identity: bool) -> dict:
         partition = build_partition(gspec)
@@ -464,46 +449,29 @@ def run_equivalence(config: ExperimentConfig) -> dict:
     }
 
 
-def run_conditions(config: ExperimentConfig) -> str:
-    report = assemble_hypothesis_report(
+def run_conditions(config: ExperimentConfig) -> dict:
+    return assemble_hypothesis_report(
         config.theorem, config.theorem_parameters(), config.mean_function
-    )
-    return report.to_json()
+    ).to_dict()
 
 
 CSV_HEADER = "t,error,space,norm_route,monotone,slope,floor"
 
 
-def report_to_csv(report: ConvergenceReport) -> str:
+def report_to_csv(report: dict) -> str:
+    """The CSV of a `converge` or `converge-dist` payload: one row per t."""
     lines = [CSV_HEADER]
-    for rec in report.records:
+    for rec in report["records"]:
         lines.append(
             "{t:.17g},{error:.17g},{space},{route},{mono},{slope:.17g},{floor:.17g}".format(
                 t=rec["t"],
                 error=rec["error"],
                 space=rec["space"],
-                route=report.norm_route,
-                mono=int(report.monotone),
-                slope=report.slope,
-                floor=report.floor,
+                route=report["norm_route"],
+                mono=int(report["monotone"]),
+                slope=report["slope"],
+                floor=report["floor"],
             )
         )
     return "\n".join(lines) + "\n"
 
-
-def report_to_json(report: ConvergenceReport) -> str:
-    payload = {
-        "records": report.records,
-        "slope": report.slope,
-        "floor": report.floor,
-        "floor_validated": report.floor_validated,
-        "monotone": report.monotone,
-        "space": report.space,
-        "norm_route": report.norm_route,
-        "hypothesis_passed": report.hypothesis_passed,
-        "boundedness_ratio": report.boundedness_ratio,
-    }
-    if report.hypothesis is not None:
-        payload["hypothesis"] = report.hypothesis
-    payload.update(report.extra)
-    return json.dumps(payload, indent=2)

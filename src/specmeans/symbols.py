@@ -14,7 +14,6 @@ condition sets under which the convergence statements hold:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -449,9 +448,6 @@ class HypothesisReport:
             "checks": [c.to_dict() for c in self.checks],
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def assemble_hypothesis_report(

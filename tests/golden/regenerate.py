@@ -131,7 +131,8 @@ def _parse(stdout: str):
 
 
 def run_case(name: str) -> dict:
-    """Exit code, last stderr line and parsed stdout of one case."""
+    """Exit code, last stderr line, parsed stdout and, under "raw", the
+    stdout text of one case; the corpus records all but the raw text."""
     argv, config = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -141,7 +142,8 @@ def run_case(name: str) -> dict:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([a.replace("{config}", str(path)) for a in argv])
     lines = err.getvalue().splitlines()
-    return {"exit": code, "stderr": lines[-1] if lines else "", "stdout": _parse(out.getvalue())}
+    text = out.getvalue()
+    return {"exit": code, "stderr": lines[-1] if lines else "", "stdout": _parse(text), "raw": text}
 
 
 def _is_number(value) -> bool:
@@ -177,7 +179,11 @@ def corpus_diff(old: dict, new: dict) -> list:
 
 if __name__ == "__main__":
     previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    golden = {name: {"argv": CASES[name][0], "config": CASES[name][1], **run_case(name)} for name in CASES}
+    golden = {}
+    for name, (argv, config) in CASES.items():
+        got = run_case(name)
+        del got["raw"]
+        golden[name] = {"argv": argv, "config": config, **got}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     for line in corpus_diff(previous, golden):
         print(line)

@@ -54,7 +54,7 @@ def sweep_errors(**fields):
     """Errors of the CLI's convergence sweep, from t0 = 0.1 down by
     factors of 4 over 7 steps."""
     config = ExperimentConfig(dimension=1, t0=0.1, ratio=0.25, steps=7, **fields)
-    return [r["error"] for r in run_convergence_function(config).records]
+    return [r["error"] for r in run_convergence_function(config)["records"]]
 
 
 def slow_transform_1d(u, spec):

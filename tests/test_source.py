@@ -111,3 +111,23 @@ def test_public_names_are_reached():
         )
         dead += [f"{stem}.{name}" for name in sorted(_exported(tree) - loaded - named)]
     assert dead == []
+
+
+def test_json_writers_are_two():
+    """`cli.main` encodes every command's payload and `grid._field_to_json`
+    a field: no other code in the package writes JSON."""
+    writers = []
+    for path in MODULES:
+        tree = _tree(path)
+        owner = {}  # node -> name of the innermost function around it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                owner.update((child, node.name) for child in ast.walk(node))
+        writers += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        ]
+    assert sorted(writers) == ["cli.main", "grid._field_to_json"]

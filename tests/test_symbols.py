@@ -228,7 +228,7 @@ class TestHypothesisReport:
         report = assemble_hypothesis_report("T1", params, make_gaussian_mean())
         assert report.passed, report.failed_conditions()
         # recorded arithmetic matches the definitions
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         assert payload["parameters"]["alpha0"] == 0.5
         assert payload["parameters"]["eps"] == 0.0
 
@@ -258,8 +258,8 @@ class TestHypothesisReport:
 
     def test_deterministic(self):
         params = TheoremParameters(N=1, m=2, p=2, p0=2, alpha=0.5, beta=1.0, l=1)
-        a = assemble_hypothesis_report("T1", params, make_gaussian_mean()).to_json()
-        b = assemble_hypothesis_report("T1", params, make_gaussian_mean()).to_json()
+        a = assemble_hypothesis_report("T1", params, make_gaussian_mean()).to_dict()
+        b = assemble_hypothesis_report("T1", params, make_gaussian_mean()).to_dict()
         assert a == b
 
     def test_invalid_parameters_rejected(self):
