@@ -14,7 +14,6 @@ from .grid import (
 )
 from .symbols import (
     HomogeneousSymbol,
-    HypothesisReport,
     MeanFunction,
     TheoremParameters,
     assemble_hypothesis_report,

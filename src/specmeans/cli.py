@@ -39,8 +39,7 @@ def _grid_fields(text: str) -> dict:
 
 
 # flag -> (argparse type, the ExperimentConfig field its value sets, or a
-# function from its value to the fields it sets), in --help order; the
-# functions apply last, so --m overrides --symbol and --grid overrides --N
+# function from its value to the fields it sets), in --help order
 _FLAGS = {
     "t0": (float, "t0"),
     "ratio": (float, "ratio"),
@@ -52,8 +51,6 @@ _FLAGS = {
     "q": (float, "q"),
     "p0": (float, "p0"),
     "l": (int, "l"),
-    "N": (int, "dimension"),
-    "m": (float, lambda m: {"symbol": f"abs:{m:g}"}),
     "mean": (str, "mean"),
     "symbol": (str, "symbol"),
     "signal": (str, "signal"),
@@ -73,7 +70,8 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="specmeans")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub = subs.add_parser(name)
+        # no prefix matching, so a flag that is gone is not read as a longer one (--m as --mean)
+        sub = subs.add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", type=str, default=None, help="JSON config path")
         for flag, (kind, _) in _FLAGS.items():
             sub.add_argument(f"--{flag}", type=kind, default=None, **_FLAG_OPTIONS.get(flag, {}))
@@ -88,7 +86,7 @@ def _config_from_args(args) -> ExperimentConfig:
     """The config of the --config file's fields and the flags, which
     override them, built once."""
     changes = {}
-    for flag, (_, target) in sorted(_FLAGS.items(), key=lambda item: callable(item[1][1])):
+    for flag, (_, target) in _FLAGS.items():
         value = getattr(args, flag)
         if value is not None:
             changes.update(target(value) if callable(target) else {target: value})
@@ -125,10 +123,11 @@ def _run(args, config: ExperimentConfig) -> tuple:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         Path(out).write_text(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:

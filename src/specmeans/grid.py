@@ -31,6 +31,10 @@ __all__ = [
     "spectral_l2_norm",
 ]
 
+# most points a grid may have: 128 MiB of complex samples per array, so a
+# run that holds a few such arrays still fits in memory
+MAX_POINTS = 2**23
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -46,6 +50,8 @@ class GridSpec:
         n = self.points_per_axis
         if n < 8 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {n}")
+        if self.size > MAX_POINTS:
+            raise ValueError(f"grid {self.dimension},{n} has {self.size} points, above the budget of {MAX_POINTS}")
         if not (self.period > 0):
             raise ValueError(f"period must be positive, got {self.period}")
 

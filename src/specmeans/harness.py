@@ -344,9 +344,9 @@ def _sweep_report(
         "monotone": all(b < a for a, b in zip(errs, errs[1:])),
         "space": space,
         "norm_route": norm_route,
-        "hypothesis_passed": report.passed,
+        "hypothesis_passed": report["pass"],
         "boundedness_ratio": boundedness_ratio,
-        "hypothesis": report.to_dict(),
+        "hypothesis": report,
         **extra,
     }
 
@@ -396,6 +396,10 @@ def run_equivalence(config: ExperimentConfig) -> dict:
         raise ValueError(
             f"band must be below n/2 = {spec.points_per_axis // 2} on this grid, got {config.band:g}"
         )
+    try:  # checked before the coarse grid is measured
+        fine_spec = GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period)
+    except ValueError as exc:
+        raise ValueError(f"equivalence refines the grid to 2n points per axis: {exc}") from None
     s, pp, qq = 0.7, 2.0, 2.0
     norm_spec = config.norm_spec
     if norm_spec.kind in ("besov_lp", "besov_modulus"):
@@ -437,7 +441,7 @@ def run_equivalence(config: ExperimentConfig) -> dict:
 
     coarse = brackets(spec, identity=True)
     identity = coarse.pop("liouville_vs_sobolev")
-    fine = brackets(GridSpec(spec.dimension, 2 * spec.points_per_axis, spec.period), identity=False)
+    fine = brackets(fine_spec, identity=False)
     return {
         "bracket": coarse,
         "bracket_refined": fine,
@@ -450,9 +454,7 @@ def run_equivalence(config: ExperimentConfig) -> dict:
 
 
 def run_conditions(config: ExperimentConfig) -> dict:
-    return assemble_hypothesis_report(
-        config.theorem, config.theorem_parameters(), config.mean_function
-    ).to_dict()
+    return assemble_hypothesis_report(config.theorem, config.theorem_parameters(), config.mean_function)
 
 
 CSV_HEADER = "t,error,space,norm_route,monotone,slope,floor"

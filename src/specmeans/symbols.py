@@ -15,7 +15,7 @@ condition sets under which the convergence statements hold:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,8 +25,6 @@ __all__ = [
     "HomogeneousSymbol",
     "MeanFunction",
     "TheoremParameters",
-    "ConditionCheck",
-    "HypothesisReport",
     "power_symbol",
     "quartic_symbol",
     "make_riesz_mean",
@@ -208,6 +206,13 @@ def make_smooth_cutoff_mean(tau: float) -> MeanFunction:
 # condition checkers
 
 
+# lambda grid of the T1 checkers: fine on [0, 4], geometric to 1e6
+_DECAY_GRID = np.unique(
+    np.concatenate([np.linspace(0.0, 4.0, 2001), np.geomspace(1e-3, 1e6, 600)])
+)
+_DECAY_GRID.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class IntegrabilityResult:
     finite: bool
@@ -219,10 +224,12 @@ class IntegrabilityResult:
 def check_integrability(p: MeanFunction, N: int, alpha0: float, m: float) -> IntegrabilityResult:
     r"""Test \int_0^inf |p(lambda)| lambda^e dlambda < inf, e = (N-alpha0-1)/m.
 
-    The head [0, BIG_LAMBDA] is integrated by adaptive quadrature on
-    [0, 1] and ten geometric pieces of [1, BIG_LAMBDA]; the
-    tail is classified through the empirical decay exponent of |p| fitted
-    on [BIG_LAMBDA, 4*BIG_LAMBDA] (finite iff it exceeds e + 1 + 0.1).
+    The head [0, end] is integrated by adaptive quadrature on [0, 1] and
+    ten geometric pieces of [1, end]; the tail is classified through the
+    empirical decay exponent of |p| fitted on [end, 4*end] (finite iff it
+    exceeds e + 1 + 0.1).  end is BIG_LAMBDA, or the end of the support
+    of p on _DECAY_GRID when that lies above: a support edge above
+    BIG_LAMBDA is integrated, not taken for a slow tail.
     """
     if m < 1 or N < 1:
         raise ValueError("need m >= 1 and N >= 1")
@@ -233,12 +240,14 @@ def check_integrability(p: MeanFunction, N: int, alpha0: float, m: float) -> Int
     def integrand(lam):
         return abs(float(p(lam))) * lam**e
 
+    last = np.flatnonzero(p(_DECAY_GRID))[-1]  # p(0) = 1, so there is one
+    end = BIG_LAMBDA if last + 1 == _DECAY_GRID.size else max(BIG_LAMBDA, float(_DECAY_GRID[last + 1]))
     # geometric pieces above 1, so a support edge just past lambda = 1 is
-    # not lost between the first nodes of a single [1, BIG_LAMBDA] rule
-    edges = np.concatenate([[0.0], np.geomspace(1.0, BIG_LAMBDA, 11)])
+    # not lost between the first nodes of a single [1, end] rule
+    edges = np.concatenate([[0.0], np.geomspace(1.0, end, 11)])
     value = sum(quad(integrand, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
 
-    lam_tail = np.geomspace(BIG_LAMBDA, 4 * BIG_LAMBDA, 16)
+    lam_tail = np.geomspace(end, 4 * end, 16)
     vals = np.abs(p(lam_tail))
     if np.max(vals) < 1e-300:
         decay = math.inf
@@ -273,13 +282,6 @@ class DerivativeDecayResult:
     constants: Sequence[float]
     passed: bool
     failed_orders: Sequence[int]
-
-
-# lambda grid of check_derivative_decay: fine on [0, 4], geometric to 1e6
-_DECAY_GRID = np.unique(
-    np.concatenate([np.linspace(0.0, 4.0, 2001), np.geomspace(1e-3, 1e6, 600)])
-)
-_DECAY_GRID.flags.writeable = False
 
 
 def check_derivative_decay(p: MeanFunction, l: int) -> DerivativeDecayResult:
@@ -325,13 +327,12 @@ class BoundednessContinuityResult:
     passed: bool
     bounded: bool
     continuous_near_zero: bool
-    value_at_zero: float
     sup_estimate: float
     note: str = "continuity checked on the closed interval [0, tau]"
 
 
 def check_theorem2(p: MeanFunction, tau: float) -> BoundednessContinuityResult:
-    """Boundedness on [0, inf) plus continuity on [0, tau] and p(0) = 1.
+    """Boundedness on [0, inf) plus continuity on [0, tau].
 
     Boundedness is decided by refinement: the supremum over successively
     denser grids must not keep growing.  Continuity is decided by the
@@ -340,9 +341,6 @@ def check_theorem2(p: MeanFunction, tau: float) -> BoundednessContinuityResult:
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    v0 = float(np.asarray(p(0.0)).real)
-    at_zero_ok = abs(v0 - 1.0) <= 1e-12
-
     span = max(2.0 * tau, 10.0)
     sups = []
     for npts in (10**3, 10**4, 10**5):
@@ -363,8 +361,7 @@ def check_theorem2(p: MeanFunction, tau: float) -> BoundednessContinuityResult:
     j2 = max_jump(2 * 10**4)
     continuous = j1 < 1e-6 or j2 <= 0.6 * j1
 
-    passed = at_zero_ok and bounded and continuous
-    return BoundednessContinuityResult(passed, bounded, continuous, v0, sups[-1])
+    return BoundednessContinuityResult(bounded and continuous, bounded, continuous, sups[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -396,64 +393,9 @@ class TheoremParameters:
         return self.N / self.p0
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    formula: str
-    lhs: float
-    rhs: float
-    passed: bool
-
-    def to_dict(self):
-        return {
-            "condition": self.name,
-            "formula": self.formula,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    theorem_id: str
-    parameters: TheoremParameters
-    checks: Sequence[ConditionCheck]
-    notes: Sequence[str] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed_conditions(self):
-        return [c.name for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem_id,
-            "parameters": {
-                "N": self.parameters.N,
-                "m": self.parameters.m,
-                "p": self.parameters.p,
-                "p0": self.parameters.p0,
-                "alpha": self.parameters.alpha,
-                "alpha0": self.parameters.resolved_alpha0(),
-                "beta": self.parameters.beta,
-                "eps": self.parameters.eps,
-                "l": self.parameters.l,
-                "q": self.parameters.q,
-                "tau": self.parameters.tau,
-            },
-            "pass": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "notes": list(self.notes),
-        }
-
-
-def assemble_hypothesis_report(
-    theorem_id: str, params: TheoremParameters, p: MeanFunction
-) -> HypothesisReport:
-    """Evaluate every inequality of the T1 or T2 condition set."""
+def assemble_hypothesis_report(theorem_id: str, params: TheoremParameters, p: MeanFunction) -> dict:
+    """Evaluate every inequality of the T1 or T2 condition set: the report
+    as the payload dict it prints, which passes iff every check does."""
     if theorem_id not in ("T1", "T2"):
         raise ValueError(f"theorem_id must be 'T1' or 'T2', got {theorem_id}")
     if params.p < 1 or params.p0 < 1 or params.N < 1 or params.m < 1:
@@ -465,7 +407,9 @@ def assemble_hypothesis_report(
     eps = params.eps
 
     def add(name, formula, lhs, rhs, passed):
-        checks.append(ConditionCheck(name, formula, float(lhs), float(rhs), bool(passed)))
+        checks.append(
+            {"condition": name, "formula": formula, "lhs": float(lhs), "rhs": float(rhs), "pass": bool(passed)}
+        )
 
     add("alpha >= 0", "alpha >= 0", params.alpha, 0.0, params.alpha >= 0)
     add(
@@ -541,4 +485,22 @@ def assemble_hypothesis_report(
         notes.append(bc.note)
     if params.q is not None:
         add("q range", "1 <= q < inf", params.q, math.inf, 1.0 <= params.q < math.inf)
-    return HypothesisReport(theorem_id, params, tuple(checks), tuple(notes))
+    return {
+        "theorem": theorem_id,
+        "parameters": {
+            "N": params.N,
+            "m": params.m,
+            "p": params.p,
+            "p0": params.p0,
+            "alpha": params.alpha,
+            "alpha0": alpha0,
+            "beta": params.beta,
+            "eps": eps,
+            "l": params.l,
+            "q": params.q,
+            "tau": params.tau,
+        },
+        "pass": all(c["pass"] for c in checks),
+        "checks": checks,
+        "notes": notes,
+    }

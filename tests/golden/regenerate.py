@@ -90,6 +90,9 @@ CASES = {
     "norm-nikolskii": (_norm("32", "fractional:1.5:1", "nikolskii:0.7:3"), None),
     "norm-slobodetskii": (_norm("32", "fractional:1.5:1", "slobodetskii:0.5:2"), None),
     "norm-slobodetskii-large-p": (_norm("64", "bump", "slobodetskii:0.5:1000"), None),
+    # the p != 2 Liouville block norm and the q = inf dyadic Besov sum
+    "norm-liouville-p3-2d": (_norm("2,16", "bump", "liouville:0.5:3"), None),
+    "norm-besov-qinf": (_norm("32", "bump", "besov:0.5:3:inf"), None),
     # hypotheses
     "t1-gaussian": (_conditions("T1", "gaussian", "--l", "3"), None),
     "t1-gaussian-3d": (_conditions("T1", "gaussian", "--grid", "3,16", "--l", "2", "--beta", "2.5"), None),
@@ -98,6 +101,7 @@ CASES = {
     "t1-indicator": (_conditions("T1", "riesz:0", "--l", "1"), None),
     "t2-indicator": (_conditions("T2", "riesz:0", "--config", "{config}"), _ALPHA0),
     "t2-cutoff": (_conditions("T2", "cutoff:0.6", "--config", "{config}"), _ALPHA0),
+    "t1-cutoff-past-big-lambda": (_conditions("T1", "cutoff:2000", "--l", "1"), None),
     "converge-cutoff": (
         _converge("32", "bump", "cutoff:0.816312", "abs:2", "liouville:0.5:2", 6, "0.25", "--l", "3"), None),
     # rejected inputs

@@ -243,7 +243,7 @@ class TestCriterion06IndicatorMean:
         )
         indicator = make_riesz_mean(0.0)
         report = assemble_hypothesis_report("T2", params, indicator)
-        assert report.passed, report.failed_conditions()
+        assert report["pass"], report["checks"]
 
         errs = sweep_errors(
             points_per_axis=64, signal="bump", mean="riesz:0", symbol="abs:2", space="liouville:0.5:2"

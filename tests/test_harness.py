@@ -27,7 +27,7 @@ from specmeans import (
     run_convergence_function,
     run_equivalence,
 )
-from specmeans import cli, harness, spaces
+from specmeans import cli, grid, harness, spaces
 from specmeans.cli import main as cli_main
 from specmeans.harness import (
     CSV_HEADER,
@@ -445,6 +445,20 @@ class TestCLI:
         assert rc == 0
         assert path.read_text().splitlines()[0] == CSV_HEADER
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conditions", "--theorem", "T1", "--mean", "gaussian"],
+            ["converge", "--grid", "32", "--steps", "3", "--format", "csv"],
+        ],
+    )
+    def test_out_file_holds_stdout(self, argv, tmp_path, capsys):
+        path = tmp_path / "out"
+        assert cli_main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert cli_main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == stdout.encode()
+
     def test_byte_identical_runs(self, tmp_path):
         args = ["converge", "--grid", "32", "--steps", "3", "--format", "csv"]
         p1 = tmp_path / "a.csv"
@@ -501,6 +515,17 @@ class TestCLI:
     def test_usage_error_exit_2(self):
         assert cli_main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--m", "--N"])
+    def test_removed_flag_is_unrecognized(self, flag, capsys):
+        # nor read as the longer flag it abbreviates, --m as --mean
+        assert cli_main(["converge", flag, "2"]) == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_equivalence_checks_its_refined_grid(self, monkeypatch, capsys):
+        monkeypatch.setattr(grid, "MAX_POINTS", 64)
+        assert cli_main(["equivalence", "--grid", "64"]) == 2
+        assert "grid 1,128 has 128 points" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv,field",
         [
@@ -510,7 +535,7 @@ class TestCLI:
             (["converge", "--t0", "nan"], "t0"),
             (["converge", "--grid", "3,8", "--symbol", "quartic"], "symbol"),
             (["converge", "--config", "{str_config}"], "steps"),
-            (["converge", "--m", "nan"], "degree m"),
+            (["converge", "--symbol", "abs:nan"], "degree m"),
             (["converge", "--mean", "cutoff:1:2:3"], "mean"),
             (["converge", "--mean", "gaussian:7"], "mean"),
             (["converge", "--mean", "riesz:abc"], "mean"),
@@ -565,6 +590,9 @@ class TestCLI:
             (["norm", "--grid", "16", "--space", "besov:2.5:2:2", "--via", "modulus"], "via"),
             (["norm", "--grid", "16", "--space", "besov:2.5:2:2", "--via", "modulus"], "space"),
             (["equivalence", "--grid", "32", "--seed", "1", "--space", "besov:2.5:2:2"], "space"),
+            # grids above the point budget, rejected before anything is allocated
+            (["norm", "--grid", "3,4096", "--signal", "bump"], "grid"),
+            (["equivalence", "--grid", "3,256"], "grid"),
         ],
     )
     def test_malformed_input_exit_2(self, argv, field, tmp_path, capsys):
@@ -703,8 +731,6 @@ _FUZZ_FLAGS = {
     "--q": st.sampled_from(("2", "1", "inf")),
     "--p0": st.sampled_from(("2", "4", "nan")),
     "--l": st.sampled_from(("0", "1", "3", "-1")),
-    "--N": st.sampled_from(("1", "2", "0", "abc")),
-    "--m": st.sampled_from(("2", "4", "0.5", "nan")),
     "--mean": _mutated(("gaussian", "riesz:2", "riesz:0", "cutoff:1"), ":"),
     "--symbol": _mutated(("abs:2", "quartic"), ":"),
     "--signal": _mutated(("bump", "truncated_cone", "random_bandlimited:1:6", "fractional:1.5:2"), ":"),
@@ -735,8 +761,6 @@ def _argv(draw):
     grids = ("32", "1,32") if command == "equivalence" else ("8", "16", "2,8", "2,16", "3,8", "1,16,6")
     argv = [command, "--grid", draw(_mutated(grids, ","))]
     flags = {**_FUZZ_FLAGS, **_FUZZ_COMMANDS[command]}
-    if command == "equivalence":
-        del flags["--N"]
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
         argv += [flag, draw(flags[flag])]
     return argv

@@ -131,3 +131,16 @@ def test_json_writers_are_two():
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
         ]
     assert sorted(writers) == ["cli.main", "grid._field_to_json"]
+
+
+def test_no_class_converts_itself_to_a_dict():
+    """A payload is built as the dict it prints: no class in the package
+    defines a `to_dict` that copies its fields into one."""
+    converters = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body)
+    ]
+    assert converters == []

@@ -139,10 +139,11 @@ class TestIntegrability:
         # exponent (3-1-1)/2 = 1/2; oracle integral is Gamma(3/2)
         assert res.value == pytest.approx(math.gamma(1.5), rel=1e-8)
 
-    @pytest.mark.parametrize("tau", [0.75, 1.3125, 3.0])
+    @pytest.mark.parametrize("tau", [0.75, 1.3125, 3.0, 2000.0, 5000.0])
     def test_cutoff_support_past_one(self, tau):
-        # support [0, tau] may end above lambda = 1; oracle: closed form on
-        # [0, tau/2] plus an independent quadrature of the bridge
+        # support [0, tau] may end above lambda = 1, or above BIG_LAMBDA;
+        # oracle: closed form on [0, tau/2] plus an independent quadrature
+        # of the bridge
         p = make_smooth_cutoff_mean(tau)
         e = (1 - 0.5 - 1.0) / 2.0
         bridge, _ = quad(lambda lam: float(p(lam)) * lam**e, tau / 2, tau, epsabs=0, epsrel=1e-12)
@@ -222,44 +223,47 @@ class TestTheorem2Checker:
         assert not res.continuous_near_zero
 
 
+def failed_conditions(report):
+    return [c["condition"] for c in report["checks"] if not c["pass"]]
+
+
 class TestHypothesisReport:
     def test_t1_all_pass(self):
         params = TheoremParameters(N=1, m=2, p=2, p0=2, alpha=0.5, beta=1.0, l=1)
         report = assemble_hypothesis_report("T1", params, make_gaussian_mean())
-        assert report.passed, report.failed_conditions()
+        assert report["pass"], failed_conditions(report)
         # recorded arithmetic matches the definitions
-        payload = report.to_dict()
-        assert payload["parameters"]["alpha0"] == 0.5
-        assert payload["parameters"]["eps"] == 0.0
+        assert report["parameters"]["alpha0"] == 0.5
+        assert report["parameters"]["eps"] == 0.0
 
     def test_t1_beta_too_small(self):
         params = TheoremParameters(N=1, m=2, p=2, p0=2, alpha=0.5, beta=0.9, l=1)
         report = assemble_hypothesis_report("T1", params, make_gaussian_mean())
-        assert "beta lower bound" in report.failed_conditions()
+        assert "beta lower bound" in failed_conditions(report)
 
     def test_t1_indicator_fails_decay(self):
         params = TheoremParameters(N=1, m=2, p=2, p0=2, alpha=0.5, beta=1.5, l=1)
         report = assemble_hypothesis_report("T1", params, make_riesz_mean(0.0))
-        assert "derivative decay" in report.failed_conditions()
+        assert "derivative decay" in failed_conditions(report)
 
     def test_t2_pass(self):
         params = TheoremParameters(
             N=1, m=2, p=2, p0=2, alpha=0.5, beta=1.5, alpha0=0.6
         )
         report = assemble_hypothesis_report("T2", params, make_riesz_mean(0.0))
-        assert report.passed, report.failed_conditions()
+        assert report["pass"], failed_conditions(report)
 
     def test_t2_alpha0_violation(self):
         params = TheoremParameters(
             N=1, m=2, p=2, p0=2, alpha=0.5, beta=1.5, alpha0=0.5
         )
         report = assemble_hypothesis_report("T2", params, make_gaussian_mean())
-        assert "alpha0 bound" in report.failed_conditions()
+        assert "alpha0 bound" in failed_conditions(report)
 
     def test_deterministic(self):
         params = TheoremParameters(N=1, m=2, p=2, p0=2, alpha=0.5, beta=1.0, l=1)
-        a = assemble_hypothesis_report("T1", params, make_gaussian_mean()).to_dict()
-        b = assemble_hypothesis_report("T1", params, make_gaussian_mean()).to_dict()
+        a = assemble_hypothesis_report("T1", params, make_gaussian_mean())
+        b = assemble_hypothesis_report("T1", params, make_gaussian_mean())
         assert a == b
 
     def test_invalid_parameters_rejected(self):
