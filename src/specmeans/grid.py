@@ -10,13 +10,20 @@ of
 over the cell, and the inverse is the plain frequency sum (no prefactor)
 weighted by the frequency-cell volume (2 pi / L)^N.  With these weights
 the pair is an exact inverse pair on the lattice.
+
+The modes of a grid fall into orbits under permutations of the axes and
+sign flips of the wavenumbers: the modes whose |k_1|, ..., |k_N| sorted
+agree.  `_orbits` tables them once per grid (6,545 orbits for the
+262,144 modes of a 64^3 grid).  A multiplier that is constant on every
+orbit, such as a function of |y| or a symmetric symbol, can be evaluated
+on one representative mode per orbit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -98,8 +105,12 @@ class GridSpec:
         )
 
     def frequency_magnitude(self) -> np.ndarray:
-        grids = self.frequency_grids()
-        return np.sqrt(sum(g * g for g in grids))
+        return _magnitude(self.frequency_grids())
+
+
+def _magnitude(coords) -> np.ndarray:
+    """|y| at the frequency coordinates `coords`, one array per axis."""
+    return np.sqrt(sum(c * c for c in coords))
 
 
 @lru_cache(maxsize=64)
@@ -110,6 +121,30 @@ def _phase(spec: GridSpec) -> np.ndarray:
     for _ in range(spec.dimension - 1):
         out = np.multiply.outer(out, axis)
     return out
+
+
+@lru_cache(maxsize=64)
+def _orbits(spec: GridSpec) -> tuple:
+    """The orbits of the grid's modes under permutations of the axes and
+    sign flips of the wavenumbers, both read-only: the index of each
+    mode's orbit, int32 of the grid's shape, and the frequency
+    coordinates of one mode per orbit, N arrays.  An orbit is the sorted
+    tuple (|k|_(1), ..., |k|_(N)) of its modes, and orbits are numbered
+    in the order of those tuples, read as base-(n/2 + 1) digits."""
+    N, base = spec.dimension, spec.points_per_axis // 2 + 1
+    k = np.abs(spec.axis_wavenumbers()).astype(np.int32)
+    axes = [k.reshape((-1,) + (1,) * (N - 1 - d)) for d in range(N)]
+    lo, hi = reduce(np.minimum, axes), reduce(np.maximum, axes)
+    ordered = [k] if N == 1 else [lo, hi] if N == 2 else [lo, sum(axes) - lo - hi, hi]
+    code = reduce(lambda acc, digit: acc * base + digit, ordered)
+    present = np.bincount(code.reshape(-1), minlength=base**N) > 0
+    orbit = (np.cumsum(present, dtype=np.int32) - 1)[code]
+    codes = np.flatnonzero(present)
+    digits = [codes // base ** (N - 1 - d) % base for d in range(N)]
+    coords = tuple((2.0 * np.pi / spec.period) * digit for digit in digits)
+    for arr in (orbit, *coords):
+        arr.setflags(write=False)
+    return orbit, coords
 
 
 def _check_values(spec: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -174,17 +209,15 @@ class SpectrumFunction:
 
 
 def _field_to_json(spec: GridSpec, arr: np.ndarray) -> str:
-    flat = arr.reshape(-1)
-    return json.dumps(
-        {
-            "spec": {
-                "N": spec.dimension,
-                "n": spec.points_per_axis,
-                "L": spec.period,
-            },
-            "values": np.stack([flat.real, flat.imag], -1).tolist(),
-        }
-    )
+    """The JSON object {"spec": ..., "values": [[re, im], ...]} of a field,
+    as `json.dumps` writes it.  The pairs are %-formatted into one
+    template: %r is `float.__repr__`, which the encoder calls for a
+    finite float.  A memoryview yields the floats with no per-pair list
+    and no list of all of them."""
+    parts = np.ascontiguousarray(arr, dtype=complex).view(np.float64).reshape(-1)
+    head = json.dumps({"spec": {"N": spec.dimension, "n": spec.points_per_axis, "L": spec.period}})
+    template = head[:-1] + ', "values": [' + ", ".join(["[%r, %r]"] * (parts.size // 2)) + "]}"
+    return template % tuple(memoryview(parts))
 
 
 def forward_transform(f: GridFunction) -> SpectrumFunction:

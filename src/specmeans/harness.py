@@ -1,6 +1,11 @@
 """Experiment runner: convergence sweeps, norm-equivalence studies and
 hypothesis reports, each returned as the JSON payload dict the CLI
-prints, and the CSV of a sweep."""
+prints, and the CSV of a sweep.
+
+A convergence sweep (`_Sweep`) evaluates its symbol once.  With a
+symmetric symbol, a p = 2 diagonal norm and no window it runs on the
+orbits of the grid's modes, one value per orbit; otherwise on every
+mode."""
 
 from __future__ import annotations
 
@@ -18,8 +23,10 @@ from .distributions import (
     CompactDistribution, PointAtom, _duality_defect, _negative_order, _pairing_weights,
     spectrum_of_distribution,
 )
-from .grid import GridFunction, GridSpec, SpectrumFunction, _lp_norms, _parse_spec, forward_transform
-from .multipliers import bessel_plan, spectral_mean_plan
+from .grid import (
+    GridFunction, GridSpec, SpectrumFunction, _lp_norms, _magnitude, _orbits, _parse_spec, forward_transform,
+)
+from .multipliers import _bessel, _mean_values, bessel_plan
 from .signals import make_signal
 from .spaces import (
     _NORM_FIELDS,
@@ -258,30 +265,69 @@ def _fit_slope(ts: np.ndarray, errs: np.ndarray, floor: float) -> float:
     return float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
 
 
-def _norms(X: SpectrumFunction, multipliers, norm_spec: NormSpec, window, partition=None) -> list:
-    """Per multiplier M, the norm_spec norm of the spectrum M·X, localized by window."""
-    return [localized_norm(SpectrumFunction(X.spec, M * X.coefficients), window, norm_spec, partition)
-            for M in multipliers]
+# the norm routes a sweep can take on orbits: diagonal in frequency
+_ORBIT_ROUTES = ("lp", "liouville", "besov_lp")
 
 
-def _sweep(p: MeanFunction, t_list, sigma: HomogeneousSymbol, X: SpectrumFunction, rows, *norm_args):
-    """Per t of t_list, one t at a time: (t, P_t = p(t sigma), the `_norms` of X for rows(P_t))."""
-    for t in t_list:
-        P = spectral_mean_plan(p, t, sigma, X.spec).values
-        yield t, P, _norms(X, rows(P), *norm_args)
+class _Sweep:
+    """The norms of multipliers M·X of one spectrum X: the symbol sigma's
+    means p(t sigma), the band mask, 1.
+
+    On orbits when every multiplier is constant on each orbit of the
+    grid's modes (`grid._orbits`) and so is the norm's weight: a
+    symmetric sigma, an lp, liouville or besov_lp norm at p = 2, and no
+    window.  Then each multiplier takes one value per orbit, at the
+    frequency coordinates `coords` of one mode per orbit, and each norm
+    is read from the orbit power spectrum S = bincount(orbit, |X|^2),
+    made once.  Otherwise the multipliers take one value per mode, and
+    each norm is the `localized_norm` of M·X.  Either way sigma is
+    evaluated once."""
+
+    def __init__(self, X: SpectrumFunction, sigma: HomogeneousSymbol, norm_spec: NormSpec, window,
+                 partition=None):
+        self.spec, self.orbit = X.spec, None
+        if sigma.symmetric and window is None and norm_spec.p == 2 and norm_spec.kind in _ORBIT_ROUTES:
+            self.orbit, self.coords = _orbits(X.spec)
+            self.power = np.bincount(self.orbit.reshape(-1), _Stack.of(X).power[0])
+            if norm_spec.kind == "besov_lp":
+                params = BesovParams(norm_spec.s, 2.0, norm_spec.q)
+                self.route = lambda stack: _besov_lp_norms(stack, params, partition)
+            else:  # lp is the Liouville block of order s = 0, an lp spec's s
+                weight = _bessel(norm_spec.s, _magnitude(self.coords))
+                self.route = lambda stack: _block_norms(stack, weight, 2.0)
+        else:  # X is kept only here: on orbits, S replaces it
+            self.X, self.norm_spec, self.window, self.partition = X, norm_spec, window, partition
+            self.coords = X.spec.frequency_grids()
+        self.sigma = np.asarray(sigma(*self.coords), dtype=float)
+
+    def mean(self, p: MeanFunction, t: float) -> np.ndarray:
+        """P_t = p(t sigma), one value per orbit or per mode."""
+        return _mean_values(p, t, self.sigma)
+
+    def on_modes(self, M: np.ndarray) -> np.ndarray:
+        """A multiplier of the sweep, one value per mode."""
+        return M if self.orbit is None else M[self.orbit]
+
+    def norms(self, multipliers) -> list:
+        """The norm of M·X per multiplier M."""
+        if self.orbit is None:
+            return [localized_norm(SpectrumFunction(self.spec, M * self.X.coefficients), self.window,
+                                   self.norm_spec, self.partition) for M in multipliers]
+        return [float(self.route(_Stack.on_orbits(self.spec, np.abs(M) ** 2 * self.power))[0])
+                for M in multipliers]
 
 
 def run_convergence_function(config: ExperimentConfig) -> dict:
     spec, norm_spec = config.grid, config.norm_spec
-    U = forward_transform(config.signal_function)
-    norm_args = (norm_spec, config.window, build_partition(spec) if norm_spec.kind == "besov_lp" else None)
-    xi = spec.frequency_magnitude()
+    partition = build_partition(spec) if norm_spec.kind == "besov_lp" else None
+    sweep = _Sweep(forward_transform(config.signal_function), config.sigma, norm_spec, config.window, partition)
+    xi = _magnitude(sweep.coords)
     # u and its outermost octave, the proxy for what the finite band cannot represent
-    u_norm, band_err = _norms(U, (1.0, xi > float(np.max(xi)) / 2.0), *norm_args)
+    u_norm, band_err = sweep.norms((1.0, xi > float(np.max(xi)) / 2.0))
     records, ratios = [], []
-    for t, _, (mean_norm, err) in _sweep(
-        config.mean_function, config.t_schedule(), config.sigma, U, lambda P: (P, P - 1.0), *norm_args
-    ):
+    for t in config.t_schedule():
+        P = sweep.mean(config.mean_function, t)
+        mean_norm, err = sweep.norms((P, P - 1.0))
         ratios.append(mean_norm / u_norm)
         records.append({"t": t, "error": err})
     return _sweep_report(config, records, norm_spec.label(), norm_spec.kind, band_err, max(ratios))
@@ -296,14 +342,16 @@ def distribution_convergence(
     fixed probe when one is supplied.  The error is the function sweep's
     error for X = bessel·F under lp:p_exp; a window applies after the Bessel potential."""
     F = spectrum_of_distribution(f, spec)
-    X = _negative_order(F, alpha)
+    sweep = _Sweep(_negative_order(F, alpha), sigma, NormSpec("lp", p=p_exp), window)
     if probe is not None:
         weights, Phi = _pairing_weights(f, spec), forward_transform(probe)
     records = []
-    for t, P, (err,) in _sweep(p, t_list, sigma, X, lambda P: (P - 1.0,), NormSpec("lp", p=p_exp), window):
+    for t in t_list:
+        P = sweep.mean(p, t)
+        (err,) = sweep.norms((P - 1.0,))
         rec = {"t": float(t), "error": float(err)}
         if probe is not None:
-            rec["pairing_error"] = _duality_defect(P, F, f, weights, probe, Phi)
+            rec["pairing_error"] = _duality_defect(sweep.on_modes(P), F, f, weights, probe, Phi)
         records.append(rec)
     return records
 

@@ -59,11 +59,18 @@ def spectral_mean_plan(
 ) -> MultiplierPlan:
     """Multiplier values p(t * sigma(y)); sigma(0) = 0 forces p(0) = 1 at
     the zero mode."""
+    return MultiplierPlan(spec, _mean_values(p, t, sigma(*spec.frequency_grids())))
+
+
+def _mean_values(p: MeanFunction, t: float, sig: np.ndarray) -> np.ndarray:
+    """p(t * sig) for the symbol values sig, on the modes or the orbits
+    they are given on."""
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    sig = np.asarray(sigma(*spec.frequency_grids()), dtype=float)
-    vals = np.asarray(p(t * sig), dtype=float)
-    return MultiplierPlan(spec, vals)
+    vals = np.asarray(p(t * np.asarray(sig, dtype=float)), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("multiplier values must be finite")
+    return vals
 
 
 def spectral_mean(
@@ -73,8 +80,12 @@ def spectral_mean(
 
 
 def bessel_plan(s: float, spec: GridSpec) -> MultiplierPlan:
-    vals = (1.0 + spec.frequency_magnitude() ** 2) ** (s / 2.0)
-    return MultiplierPlan(spec, vals)
+    return MultiplierPlan(spec, _bessel(s, spec.frequency_magnitude()))
+
+
+def _bessel(s: float, xi: np.ndarray) -> np.ndarray:
+    """The Bessel weight (1 + |y|^2)^{s/2} at the magnitudes xi."""
+    return (1.0 + xi**2) ** (s / 2.0)
 
 
 def derivative_plan(alpha, spec: GridSpec) -> MultiplierPlan:

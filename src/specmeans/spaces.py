@@ -14,10 +14,16 @@ route first reads them, so the routes run on one stack share one
 forward transform.  At p = 2 the Littlewood-Paley, Liouville and
 Sobolev blocks are read from the power spectrum by Parseval, with no
 inverse transform; at other p each block is one inverse transform of
-the stack.  Each function's norms are reduced on its own row (one dot,
-sum or scalar root per row), so they do not depend on the stack around
-it.  Callers that measure many functions, such as the equivalence
-study, stack them in chunks whose complex samples fit in STACK_BYTES.
+the stack.  A stack `on_orbits` holds only the power spectrum summed
+over each orbit of the grid's modes (`grid._orbits`): a sweep of a
+symmetric symbol at p = 2 measures its Littlewood-Paley and Liouville
+blocks from it, with the multipliers given one value per orbit.  The
+Littlewood-Paley shells are functions of |xi|, so they are built once
+per orbit and gathered onto the modes when a route needs them there.
+Each function's norms are reduced on its own row (one dot, sum or
+scalar root per row), so they do not depend on the stack around it.
+Callers that measure many functions, such as the equivalence study,
+stack them in chunks whose complex samples fit in STACK_BYTES.
 
 The difference routes share one kernel, `difference_norms`.  At p = 2 it
 reads every step's norm from the stack's autocorrelation
@@ -53,6 +59,8 @@ from .grid import (
     _forward,
     _inverse,
     _lp_norms,
+    _magnitude,
+    _orbits,
     _parseval,
     _root,
     inverse_transform,
@@ -118,24 +126,38 @@ def _chi(r: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LittlewoodPaleyPartition:
     """Dyadic multipliers phi(2^{-k} xi), k = 1..k_max, plus the base
-    block F_psi = 1 - sum of shells."""
+    block F_psi = 1 - sum of shells, each a function of |xi| and so held
+    as one value per orbit of the grid's modes (`grid._orbits`):
+    `orbit_shells` and `orbit_base`.  `shell_multipliers`,
+    `base_multiplier` and `shell` give them on the modes, gathered once,
+    when first read."""
 
     spec: GridSpec
     k_max: int
-    shell_multipliers: tuple
-    base_multiplier: np.ndarray
+    orbit_shells: tuple
+    orbit_base: np.ndarray
+
+    @cached_property
+    def shell_multipliers(self) -> tuple:
+        orbit = _orbits(self.spec)[0]
+        return tuple(shell[orbit] for shell in self.orbit_shells)
+
+    @cached_property
+    def base_multiplier(self) -> np.ndarray:
+        return self.orbit_base[_orbits(self.spec)[0]]
 
     def shell(self, k: int) -> np.ndarray:
         return self.shell_multipliers[k - 1]
 
 
 def build_partition(spec: GridSpec) -> LittlewoodPaleyPartition:
-    """Shells phi(2^{-k} xi) = chi(2^{-k}|xi|) - chi(2^{1-k}|xi|).
+    """Shells phi(2^{-k} xi) = chi(2^{-k}|xi|) - chi(2^{1-k}|xi|), on the
+    orbits of the grid's modes.
 
     The telescoping sum makes the partition-of-unity identity exact at
     every lattice frequency below the dyadic ceiling 2^{k_max}.
     """
-    xi = spec.frequency_magnitude()
+    xi = _magnitude(_orbits(spec)[1])
     k_max = int(math.ceil(math.log2(float(np.max(xi))))) + 1
     shells = []
     chi_prev = _chi(2.0 * xi)  # chi(2^{1-k}|xi|) at k = 1
@@ -173,7 +195,10 @@ class _Stack:
     (C,) + spec.shape, or by their spectra.  Each array derived from them
     is computed once, when a route first reads it, so the routes run on
     one stack share one forward transform, one power spectrum and one
-    autocorrelation."""
+    autocorrelation.  A stack `on_orbits` holds only a power spectrum
+    summed over each orbit of the grid's modes."""
+
+    orbits = False  # True: `power` has one value per orbit of grid._orbits
 
     def __init__(self, spec: GridSpec, values=None, spectrum=None):
         self.spec = spec
@@ -188,6 +213,16 @@ class _Stack:
         if isinstance(f, SpectrumFunction):
             return cls(f.spec, spectrum=f.coefficients[None])
         return cls(f.spec, values=f.values[None])
+
+    @classmethod
+    def on_orbits(cls, spec: GridSpec, power: np.ndarray) -> "_Stack":
+        """The stack of one function given by its orbit power spectrum,
+        sum over each orbit of |F|^2.  It has no samples or spectrum, so
+        only its p = 2 norms of multipliers constant on orbits exist:
+        the multipliers take one value per orbit too."""
+        stack = cls(spec)
+        stack.power, stack.orbits = power[None], True
+        return stack
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -252,10 +287,14 @@ def _besov_lp_norms(
 ) -> np.ndarray:
     if partition.spec != stack.spec:
         raise ValueError("partition grid does not match")
-    total = _block_norms(stack, partition.base_multiplier, params.p)
+    if stack.orbits:
+        base, shells = partition.orbit_base, partition.orbit_shells
+    else:
+        base, shells = partition.base_multiplier, partition.shell_multipliers
+    total = _block_norms(stack, base, params.p)
     terms = np.stack([
-        2.0 ** (params.s * k) * _block_norms(stack, partition.shell(k), params.p)
-        for k in range(1, partition.k_max + 1)
+        2.0 ** (params.s * k) * _block_norms(stack, shell, params.p)
+        for k, shell in enumerate(shells, start=1)
     ], axis=1)
     if params.q == np.inf:
         total += np.max(terms, axis=1)

@@ -45,12 +45,15 @@ class HomogeneousSymbol:
     """sigma(y): positive, homogeneous of degree m; sigma(0) := 0.
 
     `evaluate` takes a tuple of N coordinate arrays (broadcastable) and
-    returns the symbol values.
+    returns the symbol values.  `symmetric` declares sigma unchanged by
+    permuting the coordinates and flipping their signs, so constant on
+    each orbit of lattice modes (`grid._orbits`).
     """
 
     degree: float
     evaluate: Callable[..., np.ndarray]
     dimension: Optional[int] = None  # the only N it is defined for; None: any N
+    symmetric: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.degree) and self.degree >= 1):
@@ -67,7 +70,7 @@ def power_symbol(m: float) -> HomogeneousSymbol:
         r2 = sum(np.asarray(c) ** 2 for c in coords)
         return np.where(r2 > 0, r2 ** (m / 2.0), 0.0)
 
-    return HomogeneousSymbol(m, ev)
+    return HomogeneousSymbol(m, ev, symmetric=True)
 
 
 def quartic_symbol() -> HomogeneousSymbol:
@@ -76,7 +79,7 @@ def quartic_symbol() -> HomogeneousSymbol:
     def ev(y1, y2):
         return np.asarray(y1) ** 4 + np.asarray(y2) ** 4
 
-    return HomogeneousSymbol(4.0, ev, dimension=2)
+    return HomogeneousSymbol(4.0, ev, dimension=2, symmetric=True)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ code, the last line of its stderr and its stdout, parsed: JSON as JSON,
 CSV as rows of cells.  `tests/test_golden.py` reruns every case and
 compares.  The cases are the CLI jobs of the benchmark's three
 workloads, shrunk to n <= 32, plus distribution sweeps with p = 3, a
-window and a density, every norm kind, and a few rejected inputs.  A
+window and a density, a sweep on orbits with L != 2 pi and one on the
+modes at p != 2, every norm kind, and a few rejected inputs.  A
 diff of `cli.json` after regenerating is a change of CLI output:
 review it before committing.  The script prints every case it adds,
 removes or changes, each change with the largest relative change of
@@ -104,6 +105,10 @@ CASES = {
     "t1-cutoff-past-big-lambda": (_conditions("T1", "cutoff:2000", "--l", "1"), None),
     "converge-cutoff": (
         _converge("32", "bump", "cutoff:0.816312", "abs:2", "liouville:0.5:2", 6, "0.25", "--l", "3"), None),
+    # sweeps on orbits with L != 2 pi and q = inf, and on the modes at p != 2
+    "converge-orbits-period-qinf": (
+        _converge("2,16,10", "bump", "riesz:2", "abs:3", "besov:0.5:2:inf", 4), None),
+    "converge-quartic-p3": (_converge("2,16", "bump", "gaussian", "quartic", "liouville:0.5:3", 3), None),
     # rejected inputs
     "reject-unknown-mean": (["converge", "--mean", "cauchy"], None),
     "reject-via": (_norm("16", "bump", "liouville:0.5:2", "--via", "modulus"), None),

@@ -1,9 +1,12 @@
 """Transform layer: round trips, Parseval, norms, pairings."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmeans import (
     GridFunction,
@@ -15,6 +18,7 @@ from specmeans import (
     pair,
     spectral_l2_norm,
 )
+from specmeans.grid import _field_to_json, _orbits
 
 
 def random_field(spec, seed=0, real=False):
@@ -197,3 +201,54 @@ class TestSerialization:
             expected = json.dumps({"spec": {"N": 1, "n": 16, "L": spec.period}, "values": old})
             assert field.to_json() == expected
 
+
+    # floats where repr switches notation (1e-5, 1e16), their neighbours,
+    # and the extremes: json writes each with float.__repr__ too
+    EDGES = [float(np.nextafter(e, e * step)) for e in (1e-5, 1e-4, 1e15, 1e16, 1e17) for step in (0.0, 1.0, 2.0)]
+    FLOATS = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1.7976931348623157e308] + EDGES).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ).flatmap(lambda v: st.sampled_from([v, -v]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.sampled_from([(1, 8), (1, 16), (2, 8), (3, 8)]),
+        period=st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    def test_to_json_matches_json_dumps(self, grid, period, data):
+        spec = GridSpec(*grid, period)
+        parts = np.array(data.draw(st.lists(self.FLOATS, min_size=2 * spec.size, max_size=2 * spec.size)))
+        head = {"N": spec.dimension, "n": spec.points_per_axis, "L": spec.period}
+        complex_values = parts.view(complex).reshape(spec.shape)  # keeps the sign of -0.0
+        real_values = parts[: spec.size].reshape(spec.shape)
+        for values in (complex_values, real_values):
+            flat = values.astype(complex).reshape(-1)
+            expected = json.dumps({"spec": head, "values": np.stack([flat.real, flat.imag], -1).tolist()})
+            assert _field_to_json(spec, values) == expected
+        assert GridFunction(spec, complex_values).to_json() == _field_to_json(spec, complex_values)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("grid, count", [
+        ((1, 256), 129), ((2, 128), 2145), ((3, 64), 6545), ((2, 10, 10.0), 21), ((3, 8, 1.0), 35),
+    ])
+    def test_orbit_is_the_sorted_wavenumber_magnitudes(self, grid, count):
+        spec = GridSpec(*grid)
+        orbit, coords = _orbits(spec)
+        assert orbit.dtype == np.int32 and orbit.shape == spec.shape
+        k = np.abs(spec.axis_wavenumbers())
+        mesh = np.meshgrid(*([k] * spec.dimension), indexing="ij")
+        sorted_k = np.sort(np.stack([m.reshape(-1) for m in mesh]), axis=0)
+        reps = np.stack(coords) * spec.period / (2.0 * math.pi)
+        assert reps.shape == (spec.dimension, count)
+        assert np.array_equal(np.rint(reps), np.unique(sorted_k, axis=1))
+        assert np.array_equal(np.rint(reps)[:, orbit.reshape(-1)], sorted_k)
+
+    def test_one_read_only_table_per_grid(self):
+        orbit, coords = _orbits(GridSpec(2, 16, 3.0))
+        again = _orbits(GridSpec(2, 16, 3.0))
+        assert again[0] is orbit and all(a is b for a, b in zip(again[1], coords))
+        for arr in (orbit, *coords):
+            with pytest.raises(ValueError):
+                arr[0] = 0

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +177,113 @@ class TestConvergenceFunction:
             per_run.append(dict(calls))
         assert per_run[0] == per_run[1]
         assert per_run[1]["ifftn"] == 0  # p = 2: every norm by Parseval
+
+
+def _on_modes(config):
+    """The same config with its symbol's symmetry undeclared, so that its
+    sweeps run on the grid's modes."""
+    object.__setattr__(config, "sigma", replace(config.sigma, symmetric=False))
+    return config
+
+
+def _close(a, b, rel=1e-13):
+    return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
+
+
+@st.composite
+def _orbit_case(draw):
+    N = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([8, 16, 32] if N < 3 else [8, 16]))
+    symbol = draw(st.sampled_from(["abs:1", "abs:2", "abs:3"] + (["quartic"] if N == 2 else [])))
+    mean = draw(st.sampled_from(["gaussian", "riesz:2"]) | st.floats(0.2, 5.0).map(lambda tau: f"cutoff:{tau}"))
+    s = draw(st.floats(-1.0, 2.0))
+    space = draw(st.sampled_from(["lp:2", f"liouville:{s}:2"]) | st.sampled_from(
+        [f"besov:{s}:2:{q}" for q in ("1", "2", "inf")]))
+    return dict(dimension=N, points_per_axis=n, period=draw(st.sampled_from([2.0 * math.pi, 10.0])),
+                symbol=symbol, mean=mean, space=space, signal=draw(st.sampled_from(["bump", "truncated_cone"])),
+                t0=draw(st.floats(1e-3, 1.0)), ratio=0.3, steps=4)
+
+
+class TestOrbitSweeps:
+    """A sweep of a symmetric symbol at p = 2 with no window runs on the
+    orbits of the grid's modes; the same sweep on the modes is the
+    reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_orbit_case())
+    def test_orbits_match_modes(self, case):
+        orbits = run_convergence_function(ExperimentConfig(**case))
+        modes = run_convergence_function(_on_modes(ExperimentConfig(**case)))
+        for a, b in zip(orbits["records"], modes["records"]):
+            assert _close(a["error"], b["error"]), (a, b)
+        assert _close(orbits["boundedness_ratio"], modes["boundedness_ratio"])
+        assert _close(orbits["floor"], modes["floor"])
+
+    @pytest.mark.parametrize("N, n", [(2, 16), (3, 8)])
+    def test_distribution_orbits_match_modes(self, N, n):
+        case = dict(dimension=N, points_per_axis=n, alpha=1.5, steps=5, ratio=0.5)
+        orbits = run_convergence_distribution(ExperimentConfig(**case))["records"]
+        modes = run_convergence_distribution(_on_modes(ExperimentConfig(**case)))["records"]
+        for a, b in zip(orbits, modes):
+            assert _close(a["error"], b["error"]), (a, b)
+            # the defect runs on the modes either way; at L = 2 pi the gathered P_t is the same
+            assert a["pairing_error"] == b["pairing_error"]
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    @pytest.mark.parametrize("run", [run_convergence_function, run_convergence_distribution])
+    @pytest.mark.parametrize("case", [
+        {},  # on orbits
+        {"window_radius": 1.0},
+        {"space": "liouville:0.5:3", "p": 3.0},
+        {"symmetric": False},
+    ], ids=["orbits", "window", "p3", "undeclared"])
+    def test_symbol_evaluated_once_per_sweep(self, steps, run, case, monkeypatch):
+        calls = []
+
+        def counted_power_symbol(m, make=harness.power_symbol):
+            sigma = make(m)
+
+            def evaluate(*coords):
+                calls.append(np.shape(coords[0]))
+                return sigma.evaluate(*coords)
+
+            return replace(sigma, evaluate=evaluate, symmetric=case.get("symmetric", True))
+
+        monkeypatch.setattr(harness, "power_symbol", counted_power_symbol)
+        config = {key: value for key, value in case.items() if key != "symmetric"}
+        run(ExperimentConfig(dimension=2, points_per_axis=16, steps=steps, **config))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("N, n", [(1, 32), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("space", ["lp:2", "liouville:0.5:2", "besov:0.5:2:inf"])
+    def test_profile_sees_only_orbits(self, N, n, space, monkeypatch):
+        sizes = []
+
+        def recorded_gaussian(make=harness.make_gaussian_mean):
+            mean = make()
+
+            def evaluate(lam):
+                sizes.append(np.size(lam))
+                return mean.evaluate(lam)
+
+            return replace(mean, evaluate=evaluate)
+
+        monkeypatch.setattr(harness, "make_gaussian_mean", recorded_gaussian)
+        # the hypothesis checkers evaluate the profile on their own lambda grids
+        monkeypatch.setattr(harness, "assemble_hypothesis_report", lambda *args: {"pass": True})
+        config = ExperimentConfig(dimension=N, points_per_axis=n, space=space, steps=3)
+        orbit_count = len(grid._orbits(config.grid)[1][0])
+        for run in (run_convergence_function, run_convergence_distribution):
+            sizes.clear()
+            run(config)
+            assert sizes == [orbit_count] * 3
+
+    def test_one_orbit_table_per_grid(self):
+        grid._orbits.cache_clear()
+        for run in (run_convergence_function, run_convergence_distribution):
+            for space in ("lp:2", "besov:0.5:2:2"):
+                run(ExperimentConfig(dimension=3, points_per_axis=8, space=space, steps=2))
+        assert grid._orbits.cache_info().misses == 1
 
 
 class TestConvergenceDistribution:
