@@ -1,15 +1,21 @@
 """Compactly supported distributions and their spectral means.
 
 A distribution is a finite combination of derivatives of point masses
-plus an optional smooth density.  Means act by duality: on the grid both
-routes reduce to the same diagonal multiplication, so the duality
-defect is pure roundoff and is checked as such.  The convergence sweep
-of a distribution lives in `harness`, beside the function sweep.
+plus an optional smooth density.  Means act by duality,
+<p(tA)f, phi> = <f, p(tA)phi>.  On the grid both sides are spectral
+pairings linear in the multiplier P = p(t sigma): lhs by the bilinear
+Parseval identity, rhs through the atoms' interpolation kernel and the
+density's spectrum (`_duality_sides`).  Their weights are built once,
+and summed per orbit of modes when P is constant on orbits, so the
+duality defect |lhs - rhs| is pure roundoff, with no inverse transform,
+and is checked as such.  The convergence sweep of a distribution lives
+in `harness`, beside the function sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,11 +24,11 @@ from .grid import (
     GridFunction,
     GridSpec,
     SpectrumFunction,
+    _orbits,
+    _parseval,
     forward_transform,
-    inverse_transform,
-    pair,
 )
-from .multipliers import bessel_plan, spectral_mean_plan
+from .multipliers import _mean_values, bessel_plan
 from .spaces import NormSpec, localized_norm
 from .symbols import HomogeneousSymbol, MeanFunction
 
@@ -85,7 +91,7 @@ def _atom_mode_weights(spec: GridSpec, x0, alpha, sign: int) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     freqs = spec.axis_frequencies()
     nyq = np.argmin(freqs)  # index of the -n/2 row
-    out = np.ones(spec.shape, dtype=complex)
+    factors = []
     for d in range(spec.dimension):
         w = (1j * freqs) ** alpha[d] * np.exp(sign * 1j * x0[d] * freqs)
         y_n = freqs[nyq]
@@ -93,36 +99,32 @@ def _atom_mode_weights(spec: GridSpec, x0, alpha, sign: int) -> np.ndarray:
             (1j * y_n) ** alpha[d] * np.exp(sign * 1j * x0[d] * y_n)
             + (-1j * y_n) ** alpha[d] * np.exp(-sign * 1j * x0[d] * y_n)
         )
-        shape = [1] * spec.dimension
-        shape[d] = spec.points_per_axis
-        out = out * w.reshape(shape)
-    return out
+        factors.append(w.reshape((-1,) + (1,) * (spec.dimension - 1 - d)))
+    # the axis factors broadcast, so only the last product is full-grid
+    return reduce(np.multiply, factors)
 
 
-def _pairing_weights(f: CompactDistribution, spec: GridSpec) -> list:
-    """Per atom, the mode weights of trigonometric interpolation of D^alpha
-    at its location, exact for band-limited functions: one set per grid."""
-    return [_atom_mode_weights(spec, a.location, a.alpha, sign=+1) for a in f.atoms]
+def _pairing_kernel(f: CompactDistribution, spec: GridSpec) -> np.ndarray:
+    """h with <f, phi> = sum_k Phi(k) h(k) for the spectrum Phi of any
+    band-limited phi: vol * sum_j c_j (-1)^{|alpha_j|} w_j over the atoms,
+    with vol the frequency cell volume and w_j the mode weights of
+    trigonometric interpolation of D^alpha_j at x_j, plus W D(-k) for a
+    density, by the bilinear Parseval identity: W the Parseval weight and
+    D the density's spectrum as `spectrum_of_distribution` embeds it.
+    One kernel per grid."""
+    h = np.zeros(spec.shape, dtype=complex)
+    for a in f.atoms:
+        w = _atom_mode_weights(spec, a.location, a.alpha, sign=+1)
+        h += complex(a.weight) * (-1.0) ** sum(a.alpha) * spec.freq_cell_volume * w
+    if f.density is not None:
+        h += _parseval(spec) * _reflect(_embed_coefficients(forward_transform(f.density), spec))
+    return h
 
 
 def pair_distribution(f: CompactDistribution, phi: GridFunction) -> complex:
     """<f, phi> = sum_j c_j (-1)^{|alpha_j|} (D^alpha phi)(x_j) + int density*phi."""
     f.validate(phi.spec)
-    return _pair_spectrum(f, forward_transform(phi), _pairing_weights(f, phi.spec), phi)
-
-
-def _pair_spectrum(
-    f: CompactDistribution, Phi: SpectrumFunction, weights: list, phi: GridFunction | None = None
-) -> complex:
-    """<f, phi> for the probe phi with spectrum Phi and f's `_pairing_weights`;
-    the density term uses the samples phi when given, inverse_transform(Phi) otherwise."""
-    total = 0.0 + 0.0j
-    for a, weight in zip(f.atoms, weights):
-        value = complex(np.sum(Phi.coefficients * weight) * Phi.spec.freq_cell_volume)
-        total += complex(a.weight) * (-1.0) ** sum(a.alpha) * value
-    if f.density is not None:
-        total += pair(f.density, inverse_transform(Phi) if phi is None else phi)
-    return total
+    return complex(np.sum(forward_transform(phi).coefficients * _pairing_kernel(f, phi.spec)))
 
 
 def spectrum_of_distribution(
@@ -163,21 +165,49 @@ def verify_duality(
     f: CompactDistribution,
     phi: GridFunction,
 ) -> float:
-    """|<p(tA)f, phi> - <f, p(tA)phi>|; both routes are the same diagonal
-    product, so the defect is roundoff plus interpolation only."""
-    P = spectral_mean_plan(p, t, sigma, phi.spec).values
-    F = spectrum_of_distribution(f, phi.spec)
-    return _duality_defect(P, F, f, _pairing_weights(f, phi.spec), phi, forward_transform(phi))
+    """|<p(tA)f, phi> - <f, p(tA)phi>|, by `_duality_sides`: per orbit of
+    modes when sigma is symmetric, as a sweep on orbits takes it, and per
+    mode otherwise."""
+    spec = phi.spec
+    orbit, coords = _orbits(spec) if sigma.symmetric else (None, spec.frequency_grids())
+    sides = _duality_sides(f, spectrum_of_distribution(f, spec), phi, orbit)
+    return _duality_defect(_mean_values(p, t, sigma(*coords)), sides)
 
 
-def _duality_defect(
-    P: np.ndarray, F: SpectrumFunction, f: CompactDistribution, weights: list, phi: GridFunction,
-    Phi: SpectrumFunction,
-) -> float:
-    """|<p(tA)f, phi> - <f, p(tA)phi>| for the multiplier P = p(t sigma),
-    given the spectra F of f and Phi of phi and f's `_pairing_weights`."""
-    lhs = pair(inverse_transform(SpectrumFunction(F.spec, P * F.coefficients)), phi)
-    return abs(lhs - _pair_spectrum(f, SpectrumFunction(Phi.spec, P * Phi.coefficients), weights))
+def _duality_sides(
+    f: CompactDistribution, F: SpectrumFunction, phi: GridFunction, orbit: np.ndarray | None = None
+) -> tuple:
+    """The two sides of <p(tA)f, phi> = <f, p(tA)phi> as linear forms in
+    the multiplier P = p(t sigma), for f with spectrum F: the arrays l and
+    r with lhs = sum_k P(k) l(k) and rhs = sum_k P(k) r(k).
+
+    l = W F(k) Phi(-k) is the bilinear Parseval identity, W the Parseval
+    weight; r = Phi(k) h(k), h f's `_pairing_kernel`.  With `orbit`, the
+    index of each mode's orbit, l and r are summed per orbit, for a P
+    with one value per orbit.  The sides stay two sums: their difference
+    is the defect, the roundoff of each."""
+    spec = F.spec
+    Phi = forward_transform(phi).coefficients
+    sides = (_parseval(spec) * F.coefficients * _reflect(Phi), Phi * _pairing_kernel(f, spec))
+    if orbit is None:
+        return sides
+    orbit = orbit.reshape(-1)
+    return tuple(np.bincount(orbit, s.real.reshape(-1)) + 1j * np.bincount(orbit, s.imag.reshape(-1))
+                 for s in sides)
+
+
+def _reflect(a: np.ndarray) -> np.ndarray:
+    """a(-k) in DFT index order on every axis; the Nyquist row, -n/2,
+    maps to itself."""
+    return np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+
+
+def _duality_defect(P: np.ndarray, sides: tuple) -> float:
+    """|<p(tA)f, phi> - <f, p(tA)phi>| for the multiplier P, one value
+    per mode or per orbit as `sides` was built.  Each side is numpy's
+    pairwise sum, whose order does not depend on the BLAS build."""
+    lhs, rhs = (np.sum(s * P) for s in sides)
+    return float(abs(lhs - rhs))
 
 
 def negative_liouville_norm(

@@ -5,7 +5,10 @@ prints, and the CSV of a sweep.
 A convergence sweep (`_Sweep`) evaluates its symbol once.  With a
 symmetric symbol, a p = 2 diagonal norm and no window it runs on the
 orbits of the grid's modes, one value per orbit; otherwise on every
-mode."""
+mode.  A distribution sweep's duality defect is two spectral pairings
+linear in P_t (`distributions._duality_sides`), built once per sweep
+and, on orbits, summed per orbit, so each t costs two dot products and
+no inverse transform."""
 
 from __future__ import annotations
 
@@ -20,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (
-    CompactDistribution, PointAtom, _duality_defect, _negative_order, _pairing_weights,
-    spectrum_of_distribution,
+    CompactDistribution, PointAtom, _duality_defect, _duality_sides, _negative_order, spectrum_of_distribution,
 )
 from .grid import (
     GridFunction, GridSpec, SpectrumFunction, _lp_norms, _magnitude, _orbits, _parse_spec, forward_transform,
@@ -304,10 +306,6 @@ class _Sweep:
         """P_t = p(t sigma), one value per orbit or per mode."""
         return _mean_values(p, t, self.sigma)
 
-    def on_modes(self, M: np.ndarray) -> np.ndarray:
-        """A multiplier of the sweep, one value per mode."""
-        return M if self.orbit is None else M[self.orbit]
-
     def norms(self, multipliers) -> list:
         """The norm of M·X per multiplier M."""
         if self.orbit is None:
@@ -343,15 +341,15 @@ def distribution_convergence(
     error for X = bessel·F under lp:p_exp; a window applies after the Bessel potential."""
     F = spectrum_of_distribution(f, spec)
     sweep = _Sweep(_negative_order(F, alpha), sigma, NormSpec("lp", p=p_exp), window)
-    if probe is not None:
-        weights, Phi = _pairing_weights(f, spec), forward_transform(probe)
+    if probe is not None:  # binned per orbit when the sweep runs on orbits
+        sides = _duality_sides(f, F, probe, sweep.orbit)
     records = []
     for t in t_list:
         P = sweep.mean(p, t)
         (err,) = sweep.norms((P - 1.0,))
         rec = {"t": float(t), "error": float(err)}
         if probe is not None:
-            rec["pairing_error"] = _duality_defect(sweep.on_modes(P), F, f, weights, probe, Phi)
+            rec["pairing_error"] = _duality_defect(P, sides)
         records.append(rec)
     return records
 
@@ -422,7 +420,8 @@ def trig_corpus(spec: GridSpec, size: int, band: int, seed: int):
         vals = np.zeros((len(chunk),) + spec.shape)
         for (cos, sin), ab in zip(tables, chunk.transpose(1, 2, 0)):
             a, b = ab.reshape((2, -1) + (1,) * spec.dimension)
-            vals = vals + a * cos + b * sin
+            vals += a * cos
+            vals += b * sin
         yield vals
 
 

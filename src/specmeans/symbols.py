@@ -60,7 +60,13 @@ class HomogeneousSymbol:
             raise ValueError(f"degree m must be finite and >= 1, got {self.degree}")
 
     def __call__(self, *coords) -> np.ndarray:
-        return self.evaluate(*coords)
+        """sigma at the coordinates.  A value that overflows is an error:
+        sigma = inf there would make a different operator."""
+        with np.errstate(over="ignore"):
+            values = self.evaluate(*coords)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"symbol of degree {self.degree:g} overflows on the grid")
+        return values
 
 
 def power_symbol(m: float) -> HomogeneousSymbol:

@@ -1,6 +1,8 @@
 """Point-mass distributions: duality, spectra, negative-order norms,
 membership classification, convergence of means."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,14 @@ from specmeans import (
     SpectrumFunction,
     classify_membership,
     distribution_convergence,
+    forward_transform,
     inverse_transform,
     localized_norm,
     make_gaussian_mean,
     make_riesz_mean,
     make_signal,
     negative_liouville_norm,
+    pair,
     pair_distribution,
     power_symbol,
     smooth_window,
@@ -98,6 +102,15 @@ class TestPairing:
 
         assert pair_distribution(f, phi) == pytest.approx(pair(rho, phi), rel=1e-13)
 
+    def test_density_on_a_coarser_grid(self):
+        # `validate` accepts a density sampled on a coarser lattice: it
+        # pairs as its band-limited refinement
+        fine = GridSpec(1, 64)
+        f = CompactDistribution(density=make_signal("bump", GridSpec(1, 32)))
+        phi = smooth_probe(fine, seed=2)
+        refined = inverse_transform(spectrum_of_distribution(f, fine))
+        assert pair_distribution(f, phi) == pytest.approx(pair(refined, phi), rel=1e-13)
+
     def test_linearity(self):
         spec = GridSpec(1, 64)
         phi = smooth_probe(spec, seed=4)
@@ -158,6 +171,72 @@ class TestDuality:
         f = CompactDistribution(atoms=(PointAtom((0.4, -0.2), (1, 0), 1.0),))
         defect = verify_duality(make_gaussian_mean(), 0.01, power_symbol(2.0), f, phi)
         assert defect < 1e-9
+
+
+def inverse_transform_duality(p, t, sigma, f, phi):
+    """(lhs, rhs, scale) of <p(tA)f, phi> = <f, p(tA)phi> by the
+    inverse-transform route: lhs pairs the samples of p(tA)f with phi; rhs
+    pairs each atom's interpolation weights with the spectrum of p(tA)phi,
+    and the density with its samples.  The scale is the sum of the
+    magnitudes of the terms each side adds up in spectral form, which
+    bounds |lhs| + |rhs| and sets their roundoff: cancellation can make
+    |lhs| + |rhs| itself arbitrarily small.  phi and the density are real,
+    so |Phi(-k)| = |Phi(k)|."""
+    spec = phi.spec
+    W = (2 * np.pi) ** spec.dimension * spec.freq_cell_volume  # Parseval weight
+    P = spectral_mean_plan(p, t, sigma, spec).values
+    F = spectrum_of_distribution(f, spec)
+    Phi = forward_transform(phi).coefficients
+    lhs = pair(inverse_transform(SpectrumFunction(spec, P * F.coefficients)), phi)
+    scale = W * np.sum(np.abs(P * F.coefficients * Phi))
+    PPhi = SpectrumFunction(spec, P * Phi)
+    rhs = 0.0 + 0.0j
+    for a in f.atoms:
+        w = distributions._atom_mode_weights(spec, a.location, a.alpha, sign=+1)
+        rhs += complex(a.weight) * (-1.0) ** sum(a.alpha) * np.sum(PPhi.coefficients * w) * spec.freq_cell_volume
+        scale += abs(a.weight) * np.sum(np.abs(PPhi.coefficients * w)) * spec.freq_cell_volume
+    if f.density is not None:
+        rhs += pair(f.density, inverse_transform(PPhi))
+        scale += W * np.sum(np.abs(PPhi.coefficients * forward_transform(f.density).coefficients))
+    return lhs, rhs, scale
+
+
+@st.composite
+def _duality_case(draw):
+    N = draw(st.integers(1, 3))
+    spec = GridSpec(N, draw(st.sampled_from([8, 16])))
+    inside = st.floats(-2.0, 2.0)  # the L/8 margin leaves |x_d| <= 3 pi / 4
+    alpha = st.lists(st.integers(0, 2), min_size=N, max_size=N).filter(lambda a: sum(a) <= 2)
+    weight = st.builds(complex, st.floats(0.5, 2.0), st.floats(-1.0, 1.0))
+    atom = st.builds(PointAtom, st.tuples(*[inside] * N), alpha.map(tuple), weight)
+    atoms = draw(st.lists(atom, min_size=1, max_size=3))
+    density = make_signal("bump", spec) if draw(st.booleans()) else None
+    return spec, CompactDistribution(tuple(atoms), density), draw(st.floats(1e-4, 1.0))
+
+
+class TestDualityDefect:
+    """The duality defect as two spectral pairings, summed per orbit for
+    a symmetric symbol and per mode otherwise, against the
+    inverse-transform route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_duality_case(), riesz=st.booleans())
+    def test_orbits_modes_and_inverse_transform_at_roundoff(self, case, riesz):
+        spec, f, t = case
+        # smooth and periodic, with no symmetry and nonzero mixed derivatives
+        phi = GridFunction(spec, np.exp(sum(np.sin(x + 0.4 + 0.3 * d) for d, x in enumerate(spec.meshgrid()))))
+        p, sigma = make_riesz_mean(2.0) if riesz else make_gaussian_mean(), power_symbol(2.0)
+        on_orbits = verify_duality(p, t, sigma, f, phi)
+        on_modes = verify_duality(p, t, replace(sigma, symmetric=False), f, phi)
+        lhs, rhs, scale = inverse_transform_duality(p, t, sigma, f, phi)
+        oracle = abs(lhs - rhs)
+        for defect in (on_orbits, on_modes, oracle):
+            assert defect <= 1e-13 * scale, (on_orbits, on_modes, oracle, scale)
+        # each side is the pairing it names, not merely equal to the other
+        P = spectral_mean_plan(p, t, sigma, spec).values
+        sides = distributions._duality_sides(f, spectrum_of_distribution(f, spec), phi)
+        for side, value in zip(sides, (lhs, rhs)):
+            assert abs(np.sum(P * side) - value) <= 1e-13 * scale, (np.sum(P * side), value, scale)
 
 
 class TestNegativeNorm:

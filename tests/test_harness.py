@@ -226,8 +226,9 @@ class TestOrbitSweeps:
         modes = run_convergence_distribution(_on_modes(ExperimentConfig(**case)))["records"]
         for a, b in zip(orbits, modes):
             assert _close(a["error"], b["error"]), (a, b)
-            # the defect runs on the modes either way; at L = 2 pi the gathered P_t is the same
-            assert a["pairing_error"] == b["pairing_error"]
+            # the defect is summed per orbit on one side and per mode on the other, so
+            # the two agree only at roundoff; here |<f, phi>| is about 1
+            assert a["pairing_error"] <= 1e-13 and b["pairing_error"] <= 1e-13
 
     @pytest.mark.parametrize("steps", [2, 5])
     @pytest.mark.parametrize("run", [run_convergence_function, run_convergence_distribution])
@@ -648,6 +649,7 @@ class TestCLI:
             (["converge", "--mean", "riesz:abc"], "mean"),
             (["converge", "--mean", "riesz:nan"], "mean"),
             (["converge", "--symbol", "abs:2:3"], "symbol"),
+            (["converge", "--grid", "64", "--symbol", "abs:1e300"], "symbol"),
             (["converge", "--space", "lp:nan"], "space"),
             (["converge", "--signal", "bump:7"], "signal"),
             (["converge", "--signal", "random_bandlimited:1:2:3"], "signal"),
